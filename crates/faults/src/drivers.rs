@@ -27,7 +27,7 @@ use crate::service::{CallTrace, FaultyTransformer};
 use synthattr_gen::corpus::Origin;
 use synthattr_gpt::incr::{FrontendCache, RegionInfo};
 use synthattr_gpt::{GptError, TransformMode, TransformedSample};
-use synthattr_lang::{parse, TranslationUnit};
+use synthattr_lang::TranslationUnit;
 use synthattr_util::Pcg64;
 
 /// Mutable per-stream state: one retry budget and one breaker guard a
@@ -55,22 +55,6 @@ impl StreamCx {
     }
 }
 
-/// A completed resilient run: `n` samples, one outcome per sample,
-/// and the stream's aggregated stats.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientRun {
-    /// The transformed samples, in step order. Always `n` long.
-    pub samples: Vec<TransformedSample>,
-    /// `units[i]` is the AST of `samples[i].source`, carried out of
-    /// the validation gate (or cloned from the seed for failed steps)
-    /// so downstream stages never re-parse accepted responses.
-    pub units: Vec<TranslationUnit>,
-    /// `outcomes[i]` describes how `samples[i]` survived the chaos.
-    pub outcomes: Vec<Outcome>,
-    /// Aggregated accounting for the stream.
-    pub stats: ResilienceStats,
-}
-
 fn absorb(stats: &mut ResilienceStats, trace: &CallTrace) {
     stats.record_trace(trace.attempts, trace.backoff_ms);
     for tag in &trace.fault_tags {
@@ -78,320 +62,17 @@ fn absorb(stats: &mut ResilienceStats, trace: &CallTrace) {
     }
 }
 
-/// Runs non-chaining transformation under fault injection.
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset. Service
-/// faults never surface as errors; they degrade.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nct_resilient(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let seed_unit = parse(seed_code).map_err(GptError::Parse)?;
-    run_nct_resilient_parsed(svc, seed_code, &seed_unit, n, seed_origin, rng, anchor, cx)
-}
-
-/// Single-parse variant of [`run_nct_resilient`]: the caller supplies
-/// the seed's already-parsed AST, the validation expectation is
-/// computed once for the whole stream (every step transforms the same
-/// seed), and accepted responses come back with their ASTs attached.
-/// Samples, outcomes, and stats are byte-identical to
-/// [`run_nct_resilient`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`], and only from a transformer bug surfaced
-/// by the debug semantics gate — service faults degrade, not error.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nct_resilient_parsed(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let seed_exp = svc.prepare(seed_unit);
-    let mut samples = Vec::with_capacity(n);
-    let mut units = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    for step in 1..=n {
-        let pool_index = pool.sample_index(rng);
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared(
-            seed_code,
-            seed_unit,
-            &seed_exp,
-            pool_index,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                units.push(accepted.unit);
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                }
-                // NCT degradation: the step is independent of its
-                // siblings, so re-draw it on a fresh derived stream.
-                // Each resample has its own anchor, hence its own
-                // fault coordinates — a deterministic "new request".
-                let mut rescued = None;
-                for k in 1..=cx.resamples {
-                    let re_anchor = format!("{anchor}/resample{k}");
-                    let re_scope = CallScope {
-                        year,
-                        anchor: &re_anchor,
-                        step,
-                    };
-                    let mut re_rng = Pcg64::seed_from(
-                        svc.plan().seed,
-                        &[
-                            "nct-resample",
-                            &year.to_string(),
-                            anchor,
-                            &step.to_string(),
-                            &k.to_string(),
-                        ],
-                    );
-                    let mut re_trace = CallTrace::default();
-                    match svc.transform_prepared(
-                        seed_code,
-                        seed_unit,
-                        &seed_exp,
-                        pool_index,
-                        &mut re_rng,
-                        &re_scope,
-                        &mut cx.budget,
-                        &mut cx.breaker,
-                        &mut re_trace,
-                    ) {
-                        Ok(accepted) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((accepted, k));
-                            break;
-                        }
-                        Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
-                    }
-                }
-                match rescued {
-                    Some((accepted, k)) => {
-                        samples.push(sample(
-                            accepted.source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(accepted.unit);
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(seed_unit.clone());
-                        Outcome::Failed
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ResilientRun {
-        samples,
-        units,
-        outcomes,
-        stats,
-    })
-}
-
-/// Runs chaining transformation under fault injection.
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ct_resilient(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let seed_unit = parse(seed_code).map_err(GptError::Parse)?;
-    run_ct_resilient_parsed(svc, seed_code, &seed_unit, n, seed_origin, rng, anchor, cx)
-}
-
-/// Single-parse variant of [`run_ct_resilient`]: the chain threads
-/// each accepted response's AST and expectation (byproducts of the
-/// validation gate) into the next step, so a whole `n`-step chain
-/// parses each rendered output exactly once and the seed zero times
-/// beyond the caller's own parse. Samples, outcomes, and stats are
-/// byte-identical to [`run_ct_resilient`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`], and only from a transformer bug surfaced
-/// by the debug semantics gate.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ct_resilient_parsed(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    seed_unit: &TranslationUnit,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ResilientRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples: Vec<TransformedSample> = Vec::with_capacity(n);
-    let mut units: Vec<TranslationUnit> = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    // The chain head: source text, AST, and validation expectation of
-    // whatever the next call transforms. Held steps keep it in place.
-    let mut current_source = seed_code.to_string();
-    let mut current_unit = seed_unit.clone();
-    let mut current_exp = svc.prepare(seed_unit);
-    let mut style_idx = pool.sample_index(rng);
-    for step in 1..=n {
-        if step > 1 && !rng.next_bool(pool.ct_stickiness) {
-            style_idx = pool.sample_index(rng);
-        }
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared(
-            &current_source,
-            &current_unit,
-            &current_exp,
-            style_idx,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                current_source = accepted.source.clone();
-                current_unit = accepted.unit;
-                current_exp = accepted.expectation;
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                // CT degradation: a chain cannot resample a mid-chain
-                // step without rewriting history, so the chain *holds*
-                // — the sample repeats the last good source and the
-                // next step transforms from it.
-                samples.push(sample(
-                    current_source.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ResilientRun {
-        samples,
-        units,
-        outcomes,
-        stats,
-    })
-}
-
-/// A completed node-cached resilient run: [`ResilientRun`] plus each
-/// step's region structure (`None` when the step fell back to raw seed
-/// text the cached frontend never rendered).
-#[derive(Debug, Clone)]
+/// A completed resilient run: `n` samples, the AST and region
+/// structure of each (`None` when the step fell back to raw seed text
+/// the cached frontend never rendered), one outcome per sample, and
+/// the stream's aggregated stats.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedRun {
     /// The transformed samples, in step order. Always `n` long.
     pub samples: Vec<TransformedSample>,
-    /// `units[i]` is the AST of `samples[i].source`.
+    /// `units[i]` is the AST of `samples[i].source`, carried out of
+    /// the validation gate (or cloned from the seed for failed steps)
+    /// so downstream stages never re-parse accepted responses.
     pub units: Vec<TranslationUnit>,
     /// `regions[i]` is the node structure of `samples[i].source`, when
     /// the step came out of the cached frontend.
@@ -402,15 +83,18 @@ pub struct CachedRun {
     pub stats: ResilienceStats,
 }
 
-/// Node-cached variant of [`run_nct_resilient_parsed`]: every attempt
-/// runs through `fc`, and each produced step's region structure is
-/// returned for incremental downstream featurization. Samples,
-/// outcomes, and stats are byte-identical to the uncached driver.
+/// Runs non-chaining transformation under fault injection. The caller
+/// supplies the seed's already-parsed AST, the validation expectation
+/// is computed once for the whole stream (every step transforms the
+/// same seed), every attempt runs through `fc`, and each produced
+/// step's AST and region structure are returned for incremental
+/// downstream featurization.
 ///
 /// # Errors
 ///
 /// Only [`GptError::Parse`], and only from a transformer bug surfaced
-/// by the debug semantics gate.
+/// by the debug semantics gate. Service faults never surface as
+/// errors; they degrade.
 #[allow(clippy::too_many_arguments)]
 pub fn run_nct_resilient_cached(
     svc: &FaultyTransformer<'_>,
@@ -434,122 +118,94 @@ pub fn run_nct_resilient_cached(
     let trips_before = cx.breaker.trips();
     for step in 1..=n {
         let pool_index = pool.sample_index(rng);
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared_cached(
-            seed_code,
-            seed_unit,
-            None,
-            &seed_exp,
-            pool_index,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-            fc,
-        ) {
-            Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                units.push(accepted.unit);
-                regions.push(Some(accepted.regions));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
+        // Call 0 is the step itself, on the caller's stream. NCT steps
+        // are independent, so a lost step is re-drawn on fresh derived
+        // streams; each resample has its own anchor, hence its own
+        // fault coordinates — a deterministic "new request".
+        let mut accepted = None;
+        for k in 0..=cx.resamples {
+            let re_anchor;
+            let mut re_rng;
+            let (call_anchor, call_rng) = if k == 0 {
+                (anchor, &mut *rng)
+            } else {
+                re_anchor = format!("{anchor}/resample{k}");
+                re_rng = Pcg64::seed_from(
+                    svc.plan().seed,
+                    &[
+                        "nct-resample",
+                        &year.to_string(),
+                        anchor,
+                        &step.to_string(),
+                        &k.to_string(),
+                    ],
+                );
+                (re_anchor.as_str(), &mut re_rng)
+            };
+            let scope = CallScope {
+                year,
+                anchor: call_anchor,
+                step,
+            };
+            let mut trace = CallTrace::default();
+            let result = svc.transform_prepared_cached(
+                seed_code,
+                seed_unit,
+                None,
+                &seed_exp,
+                pool_index,
+                call_rng,
+                &scope,
+                &mut cx.budget,
+                &mut cx.breaker,
+                &mut trace,
+                fc,
+            );
+            absorb(&mut stats, &trace);
+            match result {
+                Ok(step_out) => {
+                    accepted = Some((step_out, k, trace.attempts));
+                    break;
+                }
+                Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
+                Err(GptError::CircuitOpen { .. }) => stats.record_fault("circuit-open"),
+                Err(_) => {}
+            }
+        }
+        let (source, unit, region, outcome) = match accepted {
+            Some((a, 0, attempts)) => {
+                let outcome = if attempts > 1 {
+                    Outcome::Recovered { attempts }
                 } else {
                     Outcome::Clean
-                }
+                };
+                (a.source, a.unit, Some(a.regions), outcome)
             }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                }
-                let mut rescued = None;
-                for k in 1..=cx.resamples {
-                    let re_anchor = format!("{anchor}/resample{k}");
-                    let re_scope = CallScope {
-                        year,
-                        anchor: &re_anchor,
-                        step,
-                    };
-                    let mut re_rng = Pcg64::seed_from(
-                        svc.plan().seed,
-                        &[
-                            "nct-resample",
-                            &year.to_string(),
-                            anchor,
-                            &step.to_string(),
-                            &k.to_string(),
-                        ],
-                    );
-                    let mut re_trace = CallTrace::default();
-                    match svc.transform_prepared_cached(
-                        seed_code,
-                        seed_unit,
-                        None,
-                        &seed_exp,
-                        pool_index,
-                        &mut re_rng,
-                        &re_scope,
-                        &mut cx.budget,
-                        &mut cx.breaker,
-                        &mut re_trace,
-                        fc,
-                    ) {
-                        Ok(accepted) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((accepted, k));
-                            break;
-                        }
-                        Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
-                    }
-                }
-                match rescued {
-                    Some((accepted, k)) => {
-                        samples.push(sample(
-                            accepted.source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(accepted.unit);
-                        regions.push(Some(accepted.regions));
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        units.push(seed_unit.clone());
-                        regions.push(None);
-                        Outcome::Failed
-                    }
-                }
+            Some((a, k, _)) => {
+                let fallback = Fallback::Resampled { resamples: k };
+                (
+                    a.source,
+                    a.unit,
+                    Some(a.regions),
+                    Outcome::Degraded { fallback },
+                )
             }
+            None => (
+                seed_code.to_string(),
+                seed_unit.clone(),
+                None,
+                Outcome::Failed,
+            ),
         };
+        samples.push(sample(
+            source,
+            step,
+            TransformMode::NonChaining,
+            seed_origin,
+            pool_index,
+        ));
+        units.push(unit);
+        regions.push(region);
         stats.record(outcome);
         outcomes.push(outcome);
     }
@@ -563,11 +219,10 @@ pub fn run_nct_resilient_cached(
     })
 }
 
-/// Node-cached variant of [`run_ct_resilient_parsed`]: the chain
-/// threads each accepted step's region structure into the next call,
-/// so unchanged items are never re-rendered, re-parsed or re-scanned.
-/// Samples, outcomes, and stats are byte-identical to the uncached
-/// driver.
+/// Runs chaining transformation under fault injection. The chain
+/// threads each accepted step's AST, expectation and region structure
+/// (byproducts of the validation gate) into the next call, so
+/// unchanged items are never re-rendered, re-parsed or re-scanned.
 ///
 /// # Errors
 ///
@@ -604,7 +259,7 @@ pub fn run_ct_resilient_cached(
         }
         let scope = CallScope { year, anchor, step };
         let mut trace = CallTrace::default();
-        let outcome = match svc.transform_prepared_cached(
+        let result = svc.transform_prepared_cached(
             &current_source,
             &current_unit,
             current_regions.as_ref(),
@@ -616,22 +271,18 @@ pub fn run_ct_resilient_cached(
             &mut cx.breaker,
             &mut trace,
             fc,
-        ) {
+        );
+        absorb(&mut stats, &trace);
+        // CT degradation: a chain cannot resample a mid-chain step
+        // without rewriting history, so a lost step *holds* — the
+        // sample repeats the last good source and the next step
+        // transforms from it.
+        let outcome = match result {
             Ok(accepted) => {
-                absorb(&mut stats, &trace);
-                current_source = accepted.source.clone();
+                current_source = accepted.source;
                 current_unit = accepted.unit;
                 current_regions = Some(accepted.regions);
                 current_exp = accepted.expectation;
-                samples.push(sample(
-                    accepted.source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                regions.push(current_regions.clone());
                 if trace.attempts > 1 {
                     Outcome::Recovered {
                         attempts: trace.attempts,
@@ -641,27 +292,23 @@ pub fn run_ct_resilient_cached(
                 }
             }
             Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    current_source.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                units.push(current_unit.clone());
-                regions.push(current_regions.clone());
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
+            Err(GptError::CircuitOpen { .. }) => {
+                stats.record_fault("circuit-open");
+                Outcome::Failed
             }
+            Err(_) => Outcome::Degraded {
+                fallback: Fallback::HeldStep,
+            },
         };
+        samples.push(sample(
+            current_source.clone(),
+            step,
+            TransformMode::Chaining,
+            seed_origin,
+            style_idx,
+        ));
+        units.push(current_unit.clone());
+        regions.push(current_regions.clone());
         stats.record(outcome);
         outcomes.push(outcome);
     }
@@ -691,248 +338,6 @@ fn sample(
     }
 }
 
-/// The pre-cache NCT driver, kept as the reference baseline for the
-/// single-parse frontend's A/B suite and the `pipeline` bench: every
-/// step goes through [`FaultyTransformer::transform`], which re-parses
-/// and re-validates its input *per call* and discards the response AST
-/// it just checked. Samples, outcomes, and stats are byte-identical to
-/// [`run_nct_resilient_parsed`] — only the repeated frontend work
-/// differs.
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nct_resilient_reference(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ReferenceRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    for step in 1..=n {
-        let pool_index = pool.sample_index(rng);
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform(
-            seed_code,
-            pool_index,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(source) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    source,
-                    step,
-                    TransformMode::NonChaining,
-                    seed_origin,
-                    pool_index,
-                ));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                }
-                let mut rescued = None;
-                for k in 1..=cx.resamples {
-                    let re_anchor = format!("{anchor}/resample{k}");
-                    let re_scope = CallScope {
-                        year,
-                        anchor: &re_anchor,
-                        step,
-                    };
-                    let mut re_rng = Pcg64::seed_from(
-                        svc.plan().seed,
-                        &[
-                            "nct-resample",
-                            &year.to_string(),
-                            anchor,
-                            &step.to_string(),
-                            &k.to_string(),
-                        ],
-                    );
-                    let mut re_trace = CallTrace::default();
-                    match svc.transform(
-                        seed_code,
-                        pool_index,
-                        &mut re_rng,
-                        &re_scope,
-                        &mut cx.budget,
-                        &mut cx.breaker,
-                        &mut re_trace,
-                    ) {
-                        Ok(source) => {
-                            absorb(&mut stats, &re_trace);
-                            rescued = Some((source, k));
-                            break;
-                        }
-                        Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-                        Err(re_err) => {
-                            absorb(&mut stats, &re_trace);
-                            if matches!(re_err, GptError::CircuitOpen { .. }) {
-                                stats.record_fault("circuit-open");
-                            }
-                        }
-                    }
-                }
-                match rescued {
-                    Some((source, k)) => {
-                        samples.push(sample(
-                            source,
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        Outcome::Degraded {
-                            fallback: Fallback::Resampled { resamples: k },
-                        }
-                    }
-                    None => {
-                        samples.push(sample(
-                            seed_code.to_string(),
-                            step,
-                            TransformMode::NonChaining,
-                            seed_origin,
-                            pool_index,
-                        ));
-                        Outcome::Failed
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ReferenceRun {
-        samples,
-        outcomes,
-        stats,
-    })
-}
-
-/// The pre-cache CT driver; see [`run_nct_resilient_reference`].
-///
-/// # Errors
-///
-/// Only [`GptError::Parse`] — `seed_code` outside the subset.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ct_resilient_reference(
-    svc: &FaultyTransformer<'_>,
-    seed_code: &str,
-    n: usize,
-    seed_origin: Origin,
-    rng: &mut Pcg64,
-    anchor: &str,
-    cx: &mut StreamCx,
-) -> Result<ReferenceRun, GptError> {
-    let pool = svc.pool();
-    let year = pool.year;
-    let mut samples = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ResilienceStats::default();
-    let trips_before = cx.breaker.trips();
-    let mut current = seed_code.to_string();
-    let mut style_idx = pool.sample_index(rng);
-    for step in 1..=n {
-        if step > 1 && !rng.next_bool(pool.ct_stickiness) {
-            style_idx = pool.sample_index(rng);
-        }
-        let scope = CallScope { year, anchor, step };
-        let mut trace = CallTrace::default();
-        let outcome = match svc.transform(
-            &current,
-            style_idx,
-            rng,
-            &scope,
-            &mut cx.budget,
-            &mut cx.breaker,
-            &mut trace,
-        ) {
-            Ok(source) => {
-                absorb(&mut stats, &trace);
-                current = source.clone();
-                samples.push(sample(
-                    source,
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                if trace.attempts > 1 {
-                    Outcome::Recovered {
-                        attempts: trace.attempts,
-                    }
-                } else {
-                    Outcome::Clean
-                }
-            }
-            Err(GptError::Parse(e)) => return Err(GptError::Parse(e)),
-            Err(err) => {
-                absorb(&mut stats, &trace);
-                samples.push(sample(
-                    current.clone(),
-                    step,
-                    TransformMode::Chaining,
-                    seed_origin,
-                    style_idx,
-                ));
-                if matches!(err, GptError::CircuitOpen { .. }) {
-                    stats.record_fault("circuit-open");
-                    Outcome::Failed
-                } else {
-                    Outcome::Degraded {
-                        fallback: Fallback::HeldStep,
-                    }
-                }
-            }
-        };
-        stats.record(outcome);
-        outcomes.push(outcome);
-    }
-    stats.breaker_trips = cx.breaker.trips() - trips_before;
-    Ok(ReferenceRun {
-        samples,
-        outcomes,
-        stats,
-    })
-}
-
-/// What the reference drivers return: a [`ResilientRun`] minus the
-/// carried ASTs (the pre-cache pipeline threw them away — that is the
-/// point of the comparison).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceRun {
-    /// The transformed samples, in step order. Always `n` long.
-    pub samples: Vec<TransformedSample>,
-    /// `outcomes[i]` describes how `samples[i]` survived the chaos.
-    pub outcomes: Vec<Outcome>,
-    /// Aggregated accounting for the stream.
-    pub stats: ResilienceStats,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,6 +348,8 @@ mod tests {
     use synthattr_gen::corpus::solution_in_style;
     use synthattr_gen::style::AuthorStyle;
     use synthattr_gpt::{try_run_ct, try_run_nct, Transformer, YearPool};
+    use synthattr_lang::hash::{item_hash, unit_hash};
+    use synthattr_lang::parse;
 
     fn seed_code(seed: u64) -> String {
         let mut rng = Pcg64::new(seed);
@@ -972,6 +379,30 @@ mod tests {
         }
     }
 
+    /// One resilient run from a fresh parse of `seed` through a cold
+    /// node cache.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        chaining: bool,
+        svc: &FaultyTransformer<'_>,
+        seed: &str,
+        n: usize,
+        origin: Origin,
+        rng_seed: u64,
+        anchor: &str,
+        cx: &mut StreamCx,
+    ) -> CachedRun {
+        let seed_unit = parse(seed).unwrap();
+        let mut fc = FrontendCache::new();
+        let rng = &mut Pcg64::new(rng_seed);
+        let driver = if chaining {
+            run_ct_resilient_cached
+        } else {
+            run_nct_resilient_cached
+        };
+        driver(svc, seed, &seed_unit, n, origin, rng, anchor, cx, &mut fc).unwrap()
+    }
+
     #[test]
     fn zero_rate_matches_fault_free_drivers_exactly() {
         let pool = YearPool::calibrated(2018, 1);
@@ -980,34 +411,34 @@ mod tests {
         let seed = seed_code(1);
 
         let plain = try_run_nct(&bare, &seed, 10, Origin::ChatGpt, &mut Pcg64::new(4)).unwrap();
-        let run = run_nct_resilient(
+        let nct = run(
+            false,
             &svc,
             &seed,
             10,
             Origin::ChatGpt,
-            &mut Pcg64::new(4),
+            4,
             "a",
             &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain);
-        assert!(run.outcomes.iter().all(|o| *o == Outcome::Clean));
-        assert_eq!(run.stats.clean, 10);
-        assert_eq!(run.stats.retries, 0);
+        );
+        assert_eq!(nct.samples, plain);
+        assert!(nct.outcomes.iter().all(|o| *o == Outcome::Clean));
+        assert_eq!(nct.stats.clean, 10);
+        assert_eq!(nct.stats.retries, 0);
 
         let plain = try_run_ct(&bare, &seed, 10, Origin::Human, &mut Pcg64::new(5)).unwrap();
-        let run = run_ct_resilient(
+        let ct = run(
+            true,
             &svc,
             &seed,
             10,
             Origin::Human,
-            &mut Pcg64::new(5),
+            5,
             "a",
             &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain);
-        assert_eq!(run.stats.fidelity(), 1.0);
+        );
+        assert_eq!(ct.samples, plain);
+        assert_eq!(ct.stats.fidelity(), 1.0);
     }
 
     #[test]
@@ -1020,34 +451,34 @@ mod tests {
         let seed = seed_code(2);
 
         let plain = try_run_nct(&bare, &seed, 15, Origin::ChatGpt, &mut Pcg64::new(8)).unwrap();
-        let run = run_nct_resilient(
+        let nct = run(
+            false,
             &svc,
             &seed,
             15,
             Origin::ChatGpt,
-            &mut Pcg64::new(8),
+            8,
             "b",
             &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain, "recovered NCT must be byte-identical");
-        assert!(run.outcomes.iter().all(|o| o.is_faithful()));
-        assert!(run.stats.recovered > 0, "20% rate must hit something");
-        assert!(run.stats.backoff_ms > 0);
+        );
+        assert_eq!(nct.samples, plain, "recovered NCT must be byte-identical");
+        assert!(nct.outcomes.iter().all(|o| o.is_faithful()));
+        assert!(nct.stats.recovered > 0, "20% rate must hit something");
+        assert!(nct.stats.backoff_ms > 0);
 
         let plain = try_run_ct(&bare, &seed, 15, Origin::ChatGpt, &mut Pcg64::new(9)).unwrap();
-        let run = run_ct_resilient(
+        let ct = run(
+            true,
             &svc,
             &seed,
             15,
             Origin::ChatGpt,
-            &mut Pcg64::new(9),
+            9,
             "b",
             &mut lenient_cx(),
-        )
-        .unwrap();
-        assert_eq!(run.samples, plain, "recovered CT must be byte-identical");
-        assert!(run.outcomes.iter().all(|o| o.is_faithful()));
+        );
+        assert_eq!(ct.samples, plain, "recovered CT must be byte-identical");
+        assert!(ct.outcomes.iter().all(|o| o.is_faithful()));
     }
 
     #[test]
@@ -1066,18 +497,9 @@ mod tests {
             }),
             resamples: 3,
         };
-        let run = run_nct_resilient(
-            &svc,
-            &seed,
-            40,
-            Origin::ChatGpt,
-            &mut Pcg64::new(10),
-            "c",
-            &mut cx,
-        )
-        .unwrap();
-        assert_eq!(run.samples.len(), 40, "degraded runs still complete");
-        let resampled = run
+        let nct = run(false, &svc, &seed, 40, Origin::ChatGpt, 10, "c", &mut cx);
+        assert_eq!(nct.samples.len(), 40, "degraded runs still complete");
+        let resampled = nct
             .outcomes
             .iter()
             .filter(|o| {
@@ -1089,15 +511,15 @@ mod tests {
                 )
             })
             .count();
-        assert!(resampled > 0, "expected resampled steps: {:?}", run.stats);
+        assert!(resampled > 0, "expected resampled steps: {:?}", nct.stats);
         // Resampled steps still carry valid, parseable transforms.
-        for (s, o) in run.samples.iter().zip(&run.outcomes) {
+        for (s, o) in nct.samples.iter().zip(&nct.outcomes) {
             if !matches!(o, Outcome::Failed) {
-                synthattr_lang::parse(&s.source).unwrap_or_else(|e| panic!("step {}: {e}", s.step));
+                parse(&s.source).unwrap_or_else(|e| panic!("step {}: {e}", s.step));
             }
         }
         assert_eq!(
-            run.stats.clean + run.stats.recovered + run.stats.degraded + run.stats.failed,
+            nct.stats.clean + nct.stats.recovered + nct.stats.degraded + nct.stats.failed,
             40
         );
     }
@@ -1117,31 +539,22 @@ mod tests {
             }),
             resamples: 0,
         };
-        let run = run_ct_resilient(
-            &svc,
-            &seed,
-            20,
-            Origin::Human,
-            &mut Pcg64::new(11),
-            "d",
-            &mut cx,
-        )
-        .unwrap();
-        assert_eq!(run.samples.len(), 20);
-        assert!(run.samples.iter().all(|s| s.source == seed));
-        assert!(run.outcomes.iter().all(|o| matches!(
+        let ct = run(true, &svc, &seed, 20, Origin::Human, 11, "d", &mut cx);
+        assert_eq!(ct.samples.len(), 20);
+        assert!(ct.samples.iter().all(|s| s.source == seed));
+        assert!(ct.outcomes.iter().all(|o| matches!(
             o,
             Outcome::Degraded {
                 fallback: Fallback::HeldStep
             } | Outcome::Failed
         )));
         assert!(
-            run.outcomes.iter().any(|o| matches!(o, Outcome::Failed)),
+            ct.outcomes.iter().any(|o| matches!(o, Outcome::Failed)),
             "the tripped breaker must reject some calls outright: {:?}",
-            run.stats
+            ct.stats
         );
-        assert!(run.stats.breaker_trips > 0);
-        assert_eq!(run.stats.fidelity(), 0.0);
+        assert!(ct.stats.breaker_trips > 0);
+        assert_eq!(ct.stats.fidelity(), 0.0);
     }
 
     #[test]
@@ -1149,232 +562,66 @@ mod tests {
         let pool = YearPool::calibrated(2019, 5);
         let svc = lenient_svc(&pool, 17, 0.3);
         let seed = seed_code(5);
-        let go = || {
-            run_nct_resilient(
-                &svc,
-                &seed,
-                12,
-                Origin::ChatGpt,
-                &mut Pcg64::new(14),
-                "e",
-                &mut lenient_cx(),
-            )
-            .unwrap()
-        };
-        assert_eq!(go(), go());
-    }
-
-    #[test]
-    fn reference_drivers_match_parsed_drivers_byte_for_byte() {
-        // The pre-cache baseline must differ only in how much frontend
-        // work it repeats — samples, outcomes, and stats are identical
-        // at every fault rate, or the A/B comparison measures nothing.
-        let pool = YearPool::calibrated(2019, 3);
-        let seed = seed_code(9);
-        for rate in [0.0, 0.05, 0.35] {
-            let svc =
-                FaultyTransformer::new(&pool, FaultPlan::new(55, rate), RetryPolicy::no_retries());
-            let nct_new = run_nct_resilient(
-                &svc,
-                &seed,
-                10,
-                Origin::ChatGpt,
-                &mut Pcg64::new(31),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            let nct_ref = run_nct_resilient_reference(
-                &svc,
-                &seed,
-                10,
-                Origin::ChatGpt,
-                &mut Pcg64::new(31),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            assert_eq!(nct_new.samples, nct_ref.samples, "rate={rate}");
-            assert_eq!(nct_new.outcomes, nct_ref.outcomes, "rate={rate}");
-            assert_eq!(nct_new.stats, nct_ref.stats, "rate={rate}");
-
-            let ct_new = run_ct_resilient(
-                &svc,
-                &seed,
-                10,
-                Origin::Human,
-                &mut Pcg64::new(32),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            let ct_ref = run_ct_resilient_reference(
-                &svc,
-                &seed,
-                10,
-                Origin::Human,
-                &mut Pcg64::new(32),
-                "r",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            assert_eq!(ct_new.samples, ct_ref.samples, "rate={rate}");
-            assert_eq!(ct_new.outcomes, ct_ref.outcomes, "rate={rate}");
-            assert_eq!(ct_new.stats, ct_ref.stats, "rate={rate}");
+        for chaining in [false, true] {
+            let go = || {
+                run(
+                    chaining,
+                    &svc,
+                    &seed,
+                    12,
+                    Origin::ChatGpt,
+                    14,
+                    "e",
+                    &mut lenient_cx(),
+                )
+            };
+            assert_eq!(go(), go(), "chaining {chaining}");
         }
     }
 
     #[test]
     fn carried_units_match_a_fresh_parse_of_each_sample() {
-        // Every AST the drivers hand downstream must be exactly what
-        // re-parsing the sample text would produce — including held CT
-        // steps and failed NCT steps that fall back to the seed.
+        // Every AST and region structure the drivers hand downstream
+        // must be exactly what re-parsing the sample text would
+        // produce — including held CT steps and failed NCT steps that
+        // fall back to the seed. Accepted steps never re-parse their
+        // own render (`transform_step_cached` hands the rewritten AST
+        // through), so this is the end-to-end check of that
+        // render/parse identity across fault rates.
         let pool = YearPool::calibrated(2018, 2);
         let seed = seed_code(6);
-        for rate in [0.0, 0.35] {
+        for rate in [0.0, 0.05, 0.20, 0.35] {
             let svc =
                 FaultyTransformer::new(&pool, FaultPlan::new(77, rate), RetryPolicy::no_retries());
-            let nct = run_nct_resilient(
-                &svc,
-                &seed,
-                12,
-                Origin::ChatGpt,
-                &mut Pcg64::new(19),
-                "u",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            let ct = run_ct_resilient(
-                &svc,
-                &seed,
-                12,
-                Origin::Human,
-                &mut Pcg64::new(20),
-                "u",
-                &mut lenient_cx(),
-            )
-            .unwrap();
-            for run in [&nct, &ct] {
-                assert_eq!(run.units.len(), run.samples.len());
-                for (s, u) in run.samples.iter().zip(&run.units) {
-                    assert_eq!(*u, parse(&s.source).unwrap(), "step {}", s.step);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_drivers_match_parsed_drivers_across_fault_rates() {
-        // The node-cached resilient drivers must be a pure-function
-        // swap: same samples, outcomes, and stats as the uncached
-        // drivers at every fault rate, and each cached step's region
-        // structure must describe its sample exactly.
-        for (fault_seed, rate) in [(99u64, 0.0), (7, 0.05), (7, 0.20)] {
-            let pool = YearPool::calibrated(2019, 2);
-            let svc = lenient_svc(&pool, fault_seed, rate);
-            let seed = seed_code(2);
-            let seed_unit = parse(&seed).unwrap();
-
             for chaining in [false, true] {
-                let (base_rng_seed, anchor) = if chaining {
-                    (9, "ct-ab")
-                } else {
-                    (8, "nct-ab")
-                };
-                let plain = if chaining {
-                    run_ct_resilient_parsed(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                    )
-                } else {
-                    run_nct_resilient_parsed(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                    )
-                }
-                .unwrap();
-                let mut fc = FrontendCache::new();
-                let cached = if chaining {
-                    run_ct_resilient_cached(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                        &mut fc,
-                    )
-                } else {
-                    run_nct_resilient_cached(
-                        &svc,
-                        &seed,
-                        &seed_unit,
-                        15,
-                        Origin::ChatGpt,
-                        &mut Pcg64::new(base_rng_seed),
-                        anchor,
-                        &mut lenient_cx(),
-                        &mut fc,
-                    )
-                }
-                .unwrap();
                 let label = format!("rate {rate} chaining {chaining}");
-                assert_eq!(cached.samples, plain.samples, "{label}");
-                assert_eq!(cached.units, plain.units, "{label}");
-                assert_eq!(cached.outcomes, plain.outcomes, "{label}");
-                assert_eq!(cached.stats, plain.stats, "{label}");
-                assert_eq!(cached.regions.len(), cached.samples.len(), "{label}");
-                for (i, (s, ri)) in cached.samples.iter().zip(&cached.regions).enumerate() {
+                let out = run(
+                    chaining,
+                    &svc,
+                    &seed,
+                    12,
+                    Origin::Human,
+                    19,
+                    "u",
+                    &mut lenient_cx(),
+                );
+                assert_eq!(out.units.len(), out.samples.len(), "{label}");
+                assert_eq!(out.regions.len(), out.samples.len(), "{label}");
+                for ((s, u), ri) in out.samples.iter().zip(&out.units).zip(&out.regions) {
+                    let fresh = parse(&s.source).unwrap();
+                    assert_eq!(*u, fresh, "{label} step {}", s.step);
                     let Some(ri) = ri else { continue };
-                    assert_eq!(
-                        ri.spans.len(),
-                        cached.units[i].items.len(),
-                        "{label} step {i}"
-                    );
-                    for sp in &ri.spans {
-                        assert!(sp.end <= s.source.len(), "{label} step {i}");
+                    assert_eq!(ri.spans.len(), fresh.items.len(), "{label} step {}", s.step);
+                    let mut pos = 0usize;
+                    for ((sp, item), h) in ri.spans.iter().zip(&fresh.items).zip(&ri.item_hashes) {
+                        assert_eq!(sp.start, pos + sp.sep_before, "{label} step {}", s.step);
+                        assert_eq!(*h, item_hash(item), "{label} step {}", s.step);
+                        pos = sp.end;
                     }
-                    assert_eq!(
-                        ri.unit_hash,
-                        synthattr_lang::hash::unit_hash(&cached.units[i]),
-                        "{label} step {i}"
-                    );
-                }
-                if rate == 0.0 && chaining {
-                    assert!(fc.node_hits() > 0, "CT chain must reuse cached nodes");
+                    assert_eq!(pos, s.source.len(), "{label} step {}", s.step);
+                    assert_eq!(ri.unit_hash, unit_hash(&fresh), "{label} step {}", s.step);
                 }
             }
         }
-    }
-
-    #[test]
-    fn bad_seed_is_still_a_typed_error() {
-        let pool = YearPool::calibrated(2018, 1);
-        let svc = lenient_svc(&pool, 1, 0.1);
-        let err = run_nct_resilient(
-            &svc,
-            "int main( {",
-            3,
-            Origin::ChatGpt,
-            &mut Pcg64::new(1),
-            "f",
-            &mut lenient_cx(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, GptError::Parse(_)));
     }
 }

@@ -35,16 +35,19 @@
 //!
 //! ```
 //! use synthattr_faults::{FaultPlan, FaultyTransformer, RetryPolicy, StreamCx};
-//! use synthattr_faults::drivers::run_nct_resilient;
+//! use synthattr_faults::drivers::run_nct_resilient_cached;
 //! use synthattr_gen::corpus::Origin;
+//! use synthattr_gpt::incr::FrontendCache;
 //! use synthattr_gpt::YearPool;
 //! use synthattr_util::Pcg64;
 //!
 //! let pool = YearPool::calibrated(2018, 1);
 //! let svc = FaultyTransformer::new(&pool, FaultPlan::new(7, 0.2), RetryPolicy::default());
 //! let seed = "int main() { int x = 0; x = x + 1; return 0; }";
-//! let run = run_nct_resilient(
-//!     &svc, seed, 5, Origin::ChatGpt, &mut Pcg64::new(3), "demo", &mut StreamCx::lenient(),
+//! let seed_unit = synthattr_lang::parse(seed).unwrap();
+//! let run = run_nct_resilient_cached(
+//!     &svc, seed, &seed_unit, 5, Origin::ChatGpt, &mut Pcg64::new(3), "demo",
+//!     &mut StreamCx::lenient(), &mut FrontendCache::new(),
 //! ).unwrap();
 //! assert_eq!(run.samples.len(), 5);
 //! assert_eq!(run.stats.calls, 5);
@@ -61,14 +64,11 @@ pub mod traffic;
 pub mod validate;
 
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use drivers::{
-    run_ct_resilient, run_ct_resilient_parsed, run_ct_resilient_reference, run_nct_resilient,
-    run_nct_resilient_parsed, run_nct_resilient_reference, ReferenceRun, ResilientRun, StreamCx,
-};
+pub use drivers::StreamCx;
 pub use outcome::{Fallback, Outcome, ResilienceStats};
 pub use plan::{CallScope, FaultKind, FaultPlan, FaultWeights, InjectedFault};
 pub use profile::FaultProfile;
 pub use retry::{RetryBudget, RetryPolicy};
-pub use service::{AcceptedResponse, CallTrace, FaultyTransformer};
+pub use service::{CallTrace, FaultyTransformer};
 pub use traffic::{HostileKind, HostileScript, ScriptEnd, SocketOp, TrafficProfile};
 pub use validate::{Expectation, ResponseValidator};

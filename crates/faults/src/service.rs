@@ -23,7 +23,7 @@ use crate::validate::{Expectation, ResponseValidator};
 use synthattr_gpt::incr::{detect_with_regions, transform_step_cached, FrontendCache, RegionInfo};
 use synthattr_gpt::transform::detect_render_style;
 use synthattr_gpt::{GptError, ResponseViolation, ServiceFault, Transformer, YearPool};
-use synthattr_lang::{parse, TranslationUnit};
+use synthattr_lang::TranslationUnit;
 use synthattr_util::Pcg64;
 
 /// Telemetry for one logical call.
@@ -38,21 +38,9 @@ pub struct CallTrace {
 }
 
 /// A response that passed the validation gate, together with the
-/// byproducts of validating it: its AST (parsed exactly once, inside
-/// the gate) and its own [`Expectation`] for when it becomes the next
+/// byproducts of validating it: its AST, its node-level region
+/// structure, and its own [`Expectation`] for when it becomes the next
 /// chain step's input.
-#[derive(Debug, Clone)]
-pub struct AcceptedResponse {
-    /// The accepted transformed source text.
-    pub source: String,
-    /// The AST of `source`.
-    pub unit: TranslationUnit,
-    /// `source`'s diagnostics + fingerprint, ready for the next call.
-    pub expectation: Expectation,
-}
-
-/// An [`AcceptedResponse`] that also carries the response's node-level
-/// region structure, as produced by the cached service path.
 #[derive(Debug, Clone)]
 pub struct AcceptedStep {
     /// The accepted transformed source text.
@@ -94,49 +82,6 @@ impl<'a> FaultyTransformer<'a> {
         &self.plan
     }
 
-    /// One logical transform call with retries. `trace` is filled in
-    /// on success *and* failure, so callers can account retry cost
-    /// either way.
-    ///
-    /// On success the returned source is byte-identical to what the
-    /// bare [`Transformer`] would have produced with the same `rng`,
-    /// and `rng` has advanced identically. On error `rng` is
-    /// **untouched** (still at call entry), so callers can fall back
-    /// deterministically.
-    ///
-    /// # Errors
-    ///
-    /// * [`GptError::Parse`] — `source` outside the subset (fail-fast).
-    /// * [`GptError::CircuitOpen`] — breaker rejected the call.
-    /// * [`GptError::RetriesExhausted`] — policy ran out of attempts.
-    /// * [`GptError::BudgetExhausted`] — stream budget ran dry.
-    #[allow(clippy::too_many_arguments)]
-    pub fn transform(
-        &self,
-        source: &str,
-        pool_index: usize,
-        rng: &mut Pcg64,
-        scope: &CallScope<'_>,
-        budget: &mut RetryBudget,
-        breaker: &mut CircuitBreaker,
-        trace: &mut CallTrace,
-    ) -> Result<String, GptError> {
-        let unit = parse(source).map_err(GptError::Parse)?;
-        let expectation = self.prepare(&unit);
-        self.transform_prepared(
-            source,
-            &unit,
-            &expectation,
-            pool_index,
-            rng,
-            scope,
-            budget,
-            breaker,
-            trace,
-        )
-        .map(|accepted| accepted.source)
-    }
-
     /// Precomputes the validation [`Expectation`] for an input that is
     /// already parsed. Chains compute this once per logical call site
     /// instead of once per retry loop *and* re-parse.
@@ -144,140 +89,29 @@ impl<'a> FaultyTransformer<'a> {
         self.validator.expectation_parsed(unit)
     }
 
-    /// Single-parse variant of [`FaultyTransformer::transform`]: the
-    /// caller supplies the input's AST and precomputed expectation
-    /// (from [`FaultyTransformer::prepare`]), and gets back the
-    /// accepted response together with its AST and expectation — both
-    /// byproducts of the validation gate the response already passed,
-    /// so a CT chain can feed the response straight into the next call
-    /// with zero re-parses.
+    /// One logical transform call with retries, through the node
+    /// caches. The caller supplies the input's AST and precomputed
+    /// expectation (from [`FaultyTransformer::prepare`]); `regions` is
+    /// the input's node structure when the input was itself produced
+    /// by a cached step (`None` for raw seeds). The attempt's layout
+    /// detection, render, diagnostics and fingerprint all run through
+    /// `fc`, so a chain step pays only for the items it actually
+    /// changed. `trace` is filled in on success *and* failure, so
+    /// callers can account retry cost either way.
     ///
-    /// Faults, retries, RNG commitment, and the produced text are
-    /// byte-identical to [`FaultyTransformer::transform`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FaultyTransformer::transform`], minus the fail-fast
-    /// [`GptError::Parse`] (a parsed input cannot be outside the
-    /// subset).
-    #[allow(clippy::too_many_arguments)]
-    pub fn transform_prepared(
-        &self,
-        source: &str,
-        unit: &TranslationUnit,
-        expectation: &Expectation,
-        pool_index: usize,
-        rng: &mut Pcg64,
-        scope: &CallScope<'_>,
-        budget: &mut RetryBudget,
-        breaker: &mut CircuitBreaker,
-        trace: &mut CallTrace,
-    ) -> Result<AcceptedResponse, GptError> {
-        let mut attempt: u32 = 1;
-        loop {
-            if let Err(fails) = breaker.admit() {
-                return Err(GptError::CircuitOpen {
-                    consecutive_failures: fails,
-                });
-            }
-            trace.attempts = attempt;
-            match self.attempt(source, unit, pool_index, rng, scope, attempt, expectation) {
-                Ok(out) => {
-                    breaker.record_success();
-                    return Ok(out);
-                }
-                Err(e) if !e.is_retryable() => {
-                    breaker.record_failure();
-                    return Err(e);
-                }
-                Err(e) => {
-                    trace.fault_tags.push(e.tag());
-                    breaker.record_failure();
-                    if attempt >= self.policy.max_attempts {
-                        return Err(GptError::RetriesExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    if !budget.try_spend() {
-                        return Err(GptError::BudgetExhausted { last: Box::new(e) });
-                    }
-                    let mut jitter = scope.stream(self.plan.seed, "backoff", attempt);
-                    trace.backoff_ms += self.policy.backoff_ms(attempt, &mut jitter);
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// One attempt: inject per the plan, transform on a cloned stream,
-    /// validate, and commit the stream only if everything passed.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        source: &str,
-        unit: &TranslationUnit,
-        pool_index: usize,
-        rng: &mut Pcg64,
-        scope: &CallScope<'_>,
-        attempt: u32,
-        expectation: &Expectation,
-    ) -> Result<AcceptedResponse, GptError> {
-        let injected = self.plan.draw(scope, attempt);
-        if let Some(fault) = &injected {
-            let mut params = fault.params.clone();
-            match fault.kind {
-                FaultKind::Timeout => {
-                    return Err(GptError::Service(ServiceFault::Timeout {
-                        after_ms: 500 + params.next_u64() % 1_500,
-                    }));
-                }
-                FaultKind::RateLimit => {
-                    return Err(GptError::Service(ServiceFault::RateLimited {
-                        retry_after_ms: 100 + params.next_u64() % 2_000,
-                    }));
-                }
-                FaultKind::Transient => {
-                    let code = *params.choose(&[500u16, 502, 503]).expect("non-empty");
-                    return Err(GptError::Service(ServiceFault::Transient { code }));
-                }
-                FaultKind::Truncated | FaultKind::Corrupted => {}
-            }
-        }
-        let mut attempt_rng = rng.clone();
-        let out = self
-            .inner
-            .transform_parsed(source, unit, pool_index, &mut attempt_rng)?;
-        let out = match injected {
-            Some(fault) => {
-                let mut params = fault.params;
-                self.sabotage(fault.kind, &out, &mut params, expectation)
-            }
-            None => out,
-        };
-        let (resp_unit, resp_expectation) = self.validator.validate(expectation, &out)?;
-        // Commit: the caller's stream advances exactly as a fault-free
-        // call would have.
-        *rng = attempt_rng;
-        Ok(AcceptedResponse {
-            source: out,
-            unit: resp_unit,
-            expectation: resp_expectation,
-        })
-    }
-
-    /// Node-cached variant of [`FaultyTransformer::transform_prepared`]:
-    /// the attempt's layout detection, render, re-parse, diagnostics
-    /// and fingerprint all run through `fc`, so a chain step pays only
-    /// for the items it actually changed. `regions` is the input's
-    /// node structure when the input was itself produced by a cached
-    /// step (`None` for raw seeds). Faults, retries, RNG commitment,
-    /// produced text, and every error are byte-identical to
-    /// [`FaultyTransformer::transform_prepared`].
+    /// On success the returned source is byte-identical to what the
+    /// bare [`Transformer`] would have produced with the same `rng`,
+    /// and `rng` has advanced identically; the response comes back
+    /// with its AST, regions and expectation, so a CT chain can feed
+    /// it straight into the next call with zero re-parses. On error
+    /// `rng` is **untouched** (still at call entry), so callers can
+    /// fall back deterministically.
     ///
     /// # Errors
     ///
-    /// Same as [`FaultyTransformer::transform_prepared`].
+    /// * [`GptError::CircuitOpen`] — breaker rejected the call.
+    /// * [`GptError::RetriesExhausted`] — policy ran out of attempts.
+    /// * [`GptError::BudgetExhausted`] — stream budget ran dry.
     #[allow(clippy::too_many_arguments)]
     pub fn transform_prepared_cached(
         &self,
@@ -393,9 +227,9 @@ impl<'a> FaultyTransformer<'a> {
             fc,
         ) {
             Ok(s) => s,
-            // The reference path discovers an unparseable rendered
-            // body inside `validate`; surface the identical retryable
-            // violation rather than the cached step's typed error.
+            // An unparseable rendered body is a malformed response:
+            // surface the retryable violation the text gate reports
+            // rather than the step's typed error.
             Err(GptError::Parse(e)) => {
                 return Err(GptError::InvalidResponse {
                     violation: ResponseViolation::Unparseable,
@@ -406,13 +240,7 @@ impl<'a> FaultyTransformer<'a> {
         };
         if let Some(fault) = injected {
             let mut params = fault.params;
-            let mangled = self.sabotage(fault.kind, &step.source, &mut params, expectation);
-            let err = self
-                .validator
-                .validate(expectation, &mangled)
-                .map(|_| ())
-                .expect_err("sabotage is construction-guaranteed to fail validation");
-            return Err(err);
+            return Err(self.sabotage(fault.kind, &step.source, &mut params, expectation));
         }
         let post = fc.diags_for(
             step.regions.unit_hash,
@@ -430,8 +258,8 @@ impl<'a> FaultyTransformer<'a> {
         })
     }
 
-    /// Mangles a good response so the validator is guaranteed to
-    /// reject it. The guarantee is checked, not assumed: if a mangled
+    /// Mangles a good response and returns the validator's rejection
+    /// of it. The rejection is checked, not assumed: if a mangled
     /// candidate happens to survive validation (e.g. a cut that only
     /// removed trailing comments), a hard lexical break is appended.
     fn sabotage(
@@ -440,16 +268,16 @@ impl<'a> FaultyTransformer<'a> {
         out: &str,
         params: &mut Pcg64,
         expectation: &Expectation,
-    ) -> String {
+    ) -> GptError {
         let candidate = match kind {
             FaultKind::Truncated => truncate_response(out, params),
             FaultKind::Corrupted => corrupt_response(out, params),
             _ => unreachable!("call-level faults have no response body"),
         };
-        if self.validator.validate(expectation, &candidate).is_err() {
-            return candidate;
-        }
-        format!("{candidate}\n@chaos@")
+        let broken = |text: &str| self.validator.validate(expectation, text).err();
+        broken(&candidate)
+            .or_else(|| broken(&format!("{candidate}\n@chaos@")))
+            .expect("a hard lexical break never validates")
     }
 }
 
@@ -493,6 +321,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerConfig;
     use crate::plan::FaultWeights;
+    use synthattr_lang::parse;
 
     const SRC: &str =
         "int main() { int total = 0; for (int i = 0; i < 5; i++) { total += i; } return total; }";
@@ -519,6 +348,37 @@ mod tests {
         })
     }
 
+    /// One logical call from a fresh parse of `source` through a cold
+    /// node cache, keeping only the accepted text.
+    #[allow(clippy::too_many_arguments)]
+    fn call(
+        svc: &FaultyTransformer<'_>,
+        source: &str,
+        pool_index: usize,
+        rng: &mut Pcg64,
+        scope: &CallScope<'_>,
+        budget: &mut RetryBudget,
+        breaker: &mut CircuitBreaker,
+        trace: &mut CallTrace,
+    ) -> Result<String, GptError> {
+        let unit = parse(source).unwrap();
+        let expectation = svc.prepare(&unit);
+        svc.transform_prepared_cached(
+            source,
+            &unit,
+            None,
+            &expectation,
+            pool_index,
+            rng,
+            scope,
+            budget,
+            breaker,
+            trace,
+            &mut FrontendCache::new(),
+        )
+        .map(|accepted| accepted.source)
+    }
+
     #[test]
     fn zero_rate_is_bit_for_bit_the_bare_transformer() {
         let pool = YearPool::calibrated(2018, 1);
@@ -531,17 +391,17 @@ mod tests {
             let mut rng_b = rng_a.clone();
             let expected = bare.transform(SRC, 0, &mut rng_a).unwrap();
             let mut trace = CallTrace::default();
-            let got = svc
-                .transform(
-                    SRC,
-                    0,
-                    &mut rng_b,
-                    &scope(step),
-                    &mut budget,
-                    &mut breaker,
-                    &mut trace,
-                )
-                .unwrap();
+            let got = call(
+                &svc,
+                SRC,
+                0,
+                &mut rng_b,
+                &scope(step),
+                &mut budget,
+                &mut breaker,
+                &mut trace,
+            )
+            .unwrap();
             assert_eq!(got, expected);
             assert_eq!(trace.attempts, 1);
             assert_eq!(
@@ -567,17 +427,17 @@ mod tests {
             let mut rng_b = rng_a.clone();
             let expected = bare.transform(SRC, 0, &mut rng_a).unwrap();
             let mut trace = CallTrace::default();
-            let got = svc
-                .transform(
-                    SRC,
-                    0,
-                    &mut rng_b,
-                    &scope(step),
-                    &mut budget,
-                    &mut breaker,
-                    &mut trace,
-                )
-                .unwrap();
+            let got = call(
+                &svc,
+                SRC,
+                0,
+                &mut rng_b,
+                &scope(step),
+                &mut budget,
+                &mut breaker,
+                &mut trace,
+            )
+            .unwrap();
             assert_eq!(got, expected, "step {step}");
             assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "step {step}");
             saw_retry |= trace.attempts > 1;
@@ -594,17 +454,17 @@ mod tests {
         let mut rng = Pcg64::new(44);
         let entry = rng.clone();
         let mut trace = CallTrace::default();
-        let err = svc
-            .transform(
-                SRC,
-                0,
-                &mut rng,
-                &scope(1),
-                &mut budget,
-                &mut breaker,
-                &mut trace,
-            )
-            .unwrap_err();
+        let err = call(
+            &svc,
+            SRC,
+            0,
+            &mut rng,
+            &scope(1),
+            &mut budget,
+            &mut breaker,
+            &mut trace,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             GptError::RetriesExhausted { attempts: 1, .. }
@@ -635,17 +495,17 @@ mod tests {
         for step in 1..=8 {
             let mut rng = Pcg64::seed_from(5, &["sab", &step.to_string()]);
             let mut trace = CallTrace::default();
-            let err = svc
-                .transform(
-                    SRC,
-                    1,
-                    &mut rng,
-                    &scope(step),
-                    &mut budget,
-                    &mut breaker,
-                    &mut trace,
-                )
-                .unwrap_err();
+            let err = call(
+                &svc,
+                SRC,
+                1,
+                &mut rng,
+                &scope(step),
+                &mut budget,
+                &mut breaker,
+                &mut trace,
+            )
+            .unwrap_err();
             let GptError::RetriesExhausted { last, .. } = err else {
                 panic!("expected exhaustion, got {err:?}");
             };
@@ -664,17 +524,17 @@ mod tests {
         let mut breaker = lenient_breaker();
         let mut rng = Pcg64::new(6);
         let mut trace = CallTrace::default();
-        let err = svc
-            .transform(
-                SRC,
-                0,
-                &mut rng,
-                &scope(1),
-                &mut budget,
-                &mut breaker,
-                &mut trace,
-            )
-            .unwrap_err();
+        let err = call(
+            &svc,
+            SRC,
+            0,
+            &mut rng,
+            &scope(1),
+            &mut budget,
+            &mut breaker,
+            &mut trace,
+        )
+        .unwrap_err();
         assert!(matches!(err, GptError::BudgetExhausted { .. }), "{err:?}");
         assert_eq!(budget.remaining(), 0);
         assert_eq!(trace.attempts, 4, "3 retries were bought by the budget");
@@ -694,7 +554,8 @@ mod tests {
         for step in 1..=2 {
             let mut rng = Pcg64::new(step as u64);
             let mut trace = CallTrace::default();
-            let _ = svc.transform(
+            let _ = call(
+                &svc,
                 SRC,
                 0,
                 &mut rng,
@@ -708,41 +569,19 @@ mod tests {
         let before = budget.remaining();
         let mut rng = Pcg64::new(9);
         let mut trace = CallTrace::default();
-        let err = svc
-            .transform(
-                SRC,
-                0,
-                &mut rng,
-                &scope(3),
-                &mut budget,
-                &mut breaker,
-                &mut trace,
-            )
-            .unwrap_err();
+        let err = call(
+            &svc,
+            SRC,
+            0,
+            &mut rng,
+            &scope(3),
+            &mut budget,
+            &mut breaker,
+            &mut trace,
+        )
+        .unwrap_err();
         assert!(matches!(err, GptError::CircuitOpen { .. }), "{err:?}");
         assert_eq!(budget.remaining(), before, "rejected calls cost nothing");
-    }
-
-    #[test]
-    fn bad_input_fails_fast_without_retries() {
-        let pool = YearPool::calibrated(2018, 1);
-        let svc = FaultyTransformer::new(&pool, FaultPlan::new(1, 0.5), lenient_policy());
-        let mut budget = RetryBudget::unlimited();
-        let mut breaker = lenient_breaker();
-        let mut rng = Pcg64::new(1);
-        let mut trace = CallTrace::default();
-        let err = svc
-            .transform(
-                "int main( {",
-                0,
-                &mut rng,
-                &scope(1),
-                &mut budget,
-                &mut breaker,
-                &mut trace,
-            )
-            .unwrap_err();
-        assert!(matches!(err, GptError::Parse(_)), "{err:?}");
     }
 
     #[test]

@@ -40,17 +40,6 @@ impl ResponseValidator {
         }
     }
 
-    /// Precomputes the input's diagnostics and fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`GptError::Parse`] if the *input* is outside the subset — a
-    /// deterministic caller error, never retried.
-    pub fn expectation(&self, input: &str) -> Result<Expectation, GptError> {
-        let unit = parse(input).map_err(GptError::Parse)?;
-        Ok(self.expectation_parsed(&unit))
-    }
-
     /// Precomputes an input's diagnostics and fingerprint from its
     /// already-parsed AST. Infallible: a unit in hand is in the subset
     /// by construction. This is the single-parse entry point — callers
@@ -69,17 +58,15 @@ impl ResponseValidator {
         &self.analyzer
     }
 
-    /// The gate sequence of [`ResponseValidator::validate`] for a
-    /// response that is already parsed and analyzed: `post_diags` and
-    /// `fp` must be the response's analyzer output and fingerprint
-    /// (possibly served from a unit-hash cache). Runs the identical
-    /// lint-delta and fingerprint checks and returns the identical
-    /// next-call [`Expectation`].
+    /// The lint-delta and fingerprint gates for a response that is
+    /// already parsed and analyzed: `post_diags` and `fp` must be the
+    /// response's analyzer output and fingerprint (possibly served from
+    /// a unit-hash cache). Returns the response's own next-call
+    /// [`Expectation`].
     ///
     /// # Errors
     ///
-    /// [`GptError::InvalidResponse`] naming the first violated gate,
-    /// byte-identical to [`ResponseValidator::validate`].
+    /// [`GptError::InvalidResponse`] naming the first violated gate.
     pub(crate) fn validate_parsed(
         &self,
         expected: &Expectation,
@@ -108,13 +95,9 @@ impl ResponseValidator {
         })
     }
 
-    /// Accepts or rejects one response body.
-    ///
-    /// On success, returns the response's AST (parsed exactly once,
-    /// here) together with the response's own [`Expectation`] — CT
-    /// chains feed each accepted response in as the next call's input,
-    /// and both byproducts fall out of the gates this method already
-    /// ran, so returning them makes the whole retry loop single-parse.
+    /// Accepts or rejects one response body. On success, returns the
+    /// response's own [`Expectation`], for when it becomes the next
+    /// call's input.
     ///
     /// # Errors
     ///
@@ -123,41 +106,13 @@ impl ResponseValidator {
         &self,
         expected: &Expectation,
         response: &str,
-    ) -> Result<(TranslationUnit, Expectation), GptError> {
-        let unit = match parse(response) {
-            Ok(u) => u,
-            Err(e) => {
-                return Err(GptError::InvalidResponse {
-                    violation: ResponseViolation::Unparseable,
-                    detail: e.to_string(),
-                })
-            }
-        };
+    ) -> Result<Expectation, GptError> {
+        let unit = parse(response).map_err(|e| GptError::InvalidResponse {
+            violation: ResponseViolation::Unparseable,
+            detail: e.to_string(),
+        })?;
         let post_diags = Arc::new(self.analyzer.analyze(&unit));
-        let fresh = new_errors(&expected.pre_diags, &post_diags);
-        if let Some(first) = fresh.first() {
-            return Err(GptError::InvalidResponse {
-                violation: ResponseViolation::LintErrors,
-                detail: format!("{} new error(s), first: {first}", fresh.len()),
-            });
-        }
-        let fp = fingerprint(&unit);
-        if fp != expected.fingerprint {
-            return Err(GptError::InvalidResponse {
-                violation: ResponseViolation::FingerprintMismatch,
-                detail: format!(
-                    "fingerprint {fp:#018x} != expected {:#018x}",
-                    expected.fingerprint
-                ),
-            });
-        }
-        Ok((
-            unit,
-            Expectation {
-                pre_diags: post_diags,
-                fingerprint: fp,
-            },
-        ))
+        self.validate_parsed(expected, post_diags, fingerprint(&unit))
     }
 }
 
@@ -173,6 +128,10 @@ mod tests {
 
     const SRC: &str = "int main() { int x = 0; x = x + 1; return 0; }";
 
+    fn expectation(v: &ResponseValidator, src: &str) -> Expectation {
+        v.expectation_parsed(&parse(src).unwrap())
+    }
+
     fn violation_of(err: GptError) -> ResponseViolation {
         match err {
             GptError::InvalidResponse { violation, .. } => violation,
@@ -183,7 +142,7 @@ mod tests {
     #[test]
     fn identity_response_passes() {
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         v.validate(&exp, SRC).unwrap();
     }
 
@@ -191,7 +150,7 @@ mod tests {
     fn renamed_variables_pass() {
         // A faithful transform changes style, not behaviour.
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         let renamed = "int main() { int count = 0; count = count + 1; return 0; }";
         v.validate(&exp, renamed).unwrap();
     }
@@ -199,7 +158,7 @@ mod tests {
     #[test]
     fn truncation_is_unparseable() {
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         let cut = &SRC[..SRC.len() / 2];
         assert_eq!(
             violation_of(v.validate(&exp, cut).unwrap_err()),
@@ -210,7 +169,7 @@ mod tests {
     #[test]
     fn undeclared_identifier_is_a_lint_error() {
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         let corrupt = "int main() { int x = 0; x = x + 1; return chaos_leak; }";
         assert_eq!(
             violation_of(v.validate(&exp, corrupt).unwrap_err()),
@@ -221,7 +180,7 @@ mod tests {
     #[test]
     fn behaviour_change_is_a_fingerprint_mismatch() {
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         let corrupt = "int main() { int x = 0; x = x + 1; return 1; }";
         assert_eq!(
             violation_of(v.validate(&exp, corrupt).unwrap_err()),
@@ -230,28 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn bad_input_is_a_parse_error_not_invalid_response() {
-        let v = ResponseValidator::new();
-        let err = v.expectation("int main( {").unwrap_err();
-        assert!(matches!(err, GptError::Parse(_)), "{err:?}");
-    }
-
-    #[test]
-    fn parsed_expectation_matches_source_expectation() {
-        let v = ResponseValidator::new();
-        let unit = parse(SRC).unwrap();
-        assert_eq!(v.expectation(SRC).unwrap(), v.expectation_parsed(&unit));
-    }
-
-    #[test]
     fn validate_returns_the_responses_own_expectation() {
         // CT chains reuse the accepted response's expectation for the
         // next call; it must equal recomputing it from scratch.
         let v = ResponseValidator::new();
-        let exp = v.expectation(SRC).unwrap();
+        let exp = expectation(&v, SRC);
         let renamed = "int main() { int count = 0; count = count + 1; return 0; }";
-        let (unit, next) = v.validate(&exp, renamed).unwrap();
-        assert_eq!(unit, parse(renamed).unwrap());
-        assert_eq!(next, v.expectation(renamed).unwrap());
+        let next = v.validate(&exp, renamed).unwrap();
+        assert_eq!(next, expectation(&v, renamed));
     }
 }

@@ -1,4 +1,4 @@
-//! The chaos property suite (ISSUE 4's headline invariant).
+//! The chaos property suite: the fault layer's headline invariant.
 //!
 //! Sweeps fault rates {0%, 5%, 20%} across every calibrated pool
 //! (3 years × 3 pool seeds) and both protocols (NCT, CT), asserting:
@@ -13,12 +13,14 @@
 //!
 //! Driven by the in-repo property harness (`synthattr_util::prop`).
 
-use synthattr_faults::drivers::{run_ct_resilient, run_nct_resilient};
-use synthattr_faults::{FaultProfile, FaultyTransformer, Outcome};
+use synthattr_faults::drivers::{run_ct_resilient_cached, run_nct_resilient_cached, CachedRun};
+use synthattr_faults::{FaultProfile, FaultyTransformer, Outcome, StreamCx};
 use synthattr_gen::challenges::ChallengeId;
 use synthattr_gen::corpus::{solution_in_style, Origin};
 use synthattr_gen::style::AuthorStyle;
+use synthattr_gpt::incr::FrontendCache;
 use synthattr_gpt::{try_run_ct, try_run_nct, Transformer, YearPool};
+use synthattr_lang::parse;
 use synthattr_util::prop::Runner;
 use synthattr_util::{prop_assert, prop_assert_eq, Pcg64};
 
@@ -35,6 +37,29 @@ fn seed_code(seed: u64) -> String {
 
 fn service<'a>(pool: &'a YearPool, profile: &FaultProfile) -> FaultyTransformer<'a> {
     FaultyTransformer::new(pool, profile.plan(), profile.policy.clone())
+}
+
+/// A resilient run from a fresh parse of `seed` through a cold node
+/// cache.
+#[allow(clippy::too_many_arguments)]
+fn resilient(
+    chaining: bool,
+    svc: &FaultyTransformer<'_>,
+    seed: &str,
+    n: usize,
+    origin: Origin,
+    rng: &mut Pcg64,
+    anchor: &str,
+    cx: &mut StreamCx,
+) -> CachedRun {
+    let seed_unit = parse(seed).expect("generated seed parses");
+    let driver = if chaining {
+        run_ct_resilient_cached
+    } else {
+        run_nct_resilient_cached
+    };
+    let fc = &mut FrontendCache::new();
+    driver(svc, seed, &seed_unit, n, origin, rng, anchor, cx, fc).expect("resilient run completes")
 }
 
 /// The headline invariant: at every swept rate, with the recoverable
@@ -62,7 +87,8 @@ fn recoverable_faults_are_byte_invisible_across_the_sweep() {
                     &mut Pcg64::new(rng_seed),
                 )
                 .unwrap();
-                let run = run_nct_resilient(
+                let run = resilient(
+                    false,
                     &svc,
                     &seed,
                     STEPS,
@@ -70,8 +96,7 @@ fn recoverable_faults_are_byte_invisible_across_the_sweep() {
                     &mut Pcg64::new(rng_seed),
                     &anchor,
                     &mut profile.stream_cx(1),
-                )
-                .unwrap();
+                );
                 assert_eq!(
                     run.samples, plain,
                     "NCT year={year} pool={pool_seed} rate={rate}"
@@ -91,7 +116,8 @@ fn recoverable_faults_are_byte_invisible_across_the_sweep() {
                     &mut Pcg64::new(rng_seed + 1),
                 )
                 .unwrap();
-                let run = run_ct_resilient(
+                let run = resilient(
+                    true,
                     &svc,
                     &seed,
                     STEPS,
@@ -99,8 +125,7 @@ fn recoverable_faults_are_byte_invisible_across_the_sweep() {
                     &mut Pcg64::new(rng_seed + 1),
                     &anchor,
                     &mut profile.stream_cx(1),
-                )
-                .unwrap();
+                );
                 assert_eq!(
                     run.samples, plain,
                     "CT year={year} pool={pool_seed} rate={rate}"
@@ -129,7 +154,8 @@ fn zero_rate_runs_are_free() {
         let profile = FaultProfile::recoverable(1, 0.0);
         let svc = service(&pool, &profile);
         let seed = seed_code(year as u64);
-        let run = run_nct_resilient(
+        let run = resilient(
+            false,
             &svc,
             &seed,
             STEPS,
@@ -137,8 +163,7 @@ fn zero_rate_runs_are_free() {
             &mut Pcg64::new(2),
             "free",
             &mut profile.stream_cx(1),
-        )
-        .unwrap();
+        );
         assert_eq!(run.stats.retries, 0);
         assert_eq!(run.stats.backoff_ms, 0);
         assert!(run.stats.faults_by_tag.is_empty());
@@ -163,7 +188,8 @@ fn brutal_faults_degrade_gracefully_and_deterministically() {
                 let mut cx = profile.stream_cx(4);
                 let rng = &mut Pcg64::new(13);
                 match mode {
-                    "nct" => run_nct_resilient(
+                    "nct" => resilient(
+                        false,
                         &svc,
                         &seed,
                         STEPS,
@@ -172,11 +198,17 @@ fn brutal_faults_degrade_gracefully_and_deterministically() {
                         &anchor,
                         &mut cx,
                     ),
-                    _ => {
-                        run_ct_resilient(&svc, &seed, STEPS, Origin::ChatGpt, rng, &anchor, &mut cx)
-                    }
+                    _ => resilient(
+                        true,
+                        &svc,
+                        &seed,
+                        STEPS,
+                        Origin::ChatGpt,
+                        rng,
+                        &anchor,
+                        &mut cx,
+                    ),
                 }
-                .unwrap()
             };
             for mode in ["nct", "ct"] {
                 let run = go(mode);
@@ -228,7 +260,8 @@ fn invisible_retry_invariant_holds_for_sampled_universes() {
 
             let plain = try_run_nct(&bare, &seed, 6, Origin::ChatGpt, &mut Pcg64::new(rng_seed))
                 .expect("generated seed transforms");
-            let run = run_nct_resilient(
+            let run = resilient(
+                false,
                 &svc,
                 &seed,
                 6,
@@ -236,8 +269,7 @@ fn invisible_retry_invariant_holds_for_sampled_universes() {
                 &mut Pcg64::new(rng_seed),
                 "prop",
                 &mut profile.stream_cx(1),
-            )
-            .expect("resilient run completes");
+            );
             prop_assert_eq!(run.samples.len(), plain.len());
             for (a, b) in run.samples.iter().zip(&plain) {
                 prop_assert_eq!(&a.source, &b.source);

@@ -12,8 +12,8 @@
 //!
 //! [`FeatureExtractor::extract_from_parts`] is bit-identical to
 //! [`FeatureExtractor::extract_parsed`] on the assembled source; the
-//! property tests below and the `reference-increment` A/B suite in the
-//! core crate keep that claim honest.
+//! property tests below and the workspace's fresh-parse oracle
+//! (`tests/fresh_parse_oracle.rs`) keep that claim honest.
 
 use crate::collect::CodeStats;
 use crate::dataflow::DataflowPartial;

@@ -16,7 +16,7 @@
 //!   diagnostics/fingerprints by unit structural hash;
 //! * [`transform_step_cached`] — one chain step through the caches,
 //!   consuming the exact RNG stream of
-//!   [`Transformer::transform_parsed`] and producing byte-identical
+//!   [`Transformer::transform`] and producing byte-identical
 //!   text plus a parsed unit equal to `parse(text)` (handed through
 //!   from the rewrite — the renderer is the parser's inverse on the
 //!   rewriter's AST subset, so the step never re-parses its own
@@ -27,8 +27,9 @@
 //!
 //! Collision policy (DESIGN.md §12): text-keyed caches are exact by
 //! construction; 64-bit structural-hash caches are trusted in release
-//! and re-verified by `debug_assert`s plus the `reference-increment`
-//! A/B grid in the core crate.
+//! and re-verified by `debug_assert`s plus the workspace's fresh-parse
+//! oracle (`tests/fresh_parse_oracle.rs`), which checks every cached
+//! product against a from-scratch parse of the emitted text.
 
 use crate::error::GptError;
 use crate::transform::{detect_render_style, Transformer};
@@ -410,22 +411,22 @@ pub fn detect_with_regions(
 /// Runs one transformation step through the node caches.
 ///
 /// Byte-identical to
-/// [`Transformer::transform_parsed`]`(source, unit, pool_idx, rng)`
+/// [`Transformer::transform`]`(source, pool_idx, rng)`
 /// followed by `parse(&output)`: the rewrite pass consumes the exact
 /// RNG stream, the render assembles cached per-item pieces under the
 /// blended style, and the returned unit is the rewritten AST itself —
 /// equal to a fresh whole parse because the renderer is the parser's
 /// inverse on every AST the rewrite passes can produce (re-proved by
-/// `debug_assert` on every debug run and by the `reference-increment`
-/// A/B grid against the whole-file path's real parses).
+/// `debug_assert` on every debug run and, in release builds, by the
+/// resilient drivers' `carried_units_match_a_fresh_parse_of_each_sample`
+/// test and the workspace's fresh-parse oracle).
 /// `src_render` must equal `detect_render_style(source)` (callers get
 /// it from [`detect_with_regions`] or the whole-text detector).
 ///
 /// # Errors
 ///
 /// Infallible in practice; the `Result` carries the debug-only
-/// semantics check (and keeps the signature aligned with the reference
-/// path, which re-parses and can surface [`GptError::Parse`]).
+/// semantics check.
 pub fn transform_step_cached(
     transformer: &Transformer<'_>,
     source: &str,
@@ -474,8 +475,8 @@ pub fn transform_step_cached(
     // the assembled text, so the step hands it straight through instead
     // of re-parsing its own render region by region. The identity is
     // re-proved on every debug run below and end-to-end by the
-    // `reference-increment` A/B grid (units are compared against the
-    // whole-file path, whose units come from real `parse` calls).
+    // resilient drivers' carried-unit test and the fresh-parse oracle
+    // (units and features are compared against real `parse` calls).
     debug_assert_eq!(
         rewritten,
         parse(&out).expect("assembled text re-parses"),
@@ -517,9 +518,10 @@ pub struct CachedStep {
 }
 
 /// Cached NCT driver: byte-identical to
-/// [`try_run_nct_steps`](crate::chain::try_run_nct_steps), with the
-/// seed's layout detection hoisted out of the loop (the seed never
-/// changes) and every per-item product shared through `fc`.
+/// [`try_run_nct`](crate::chain::try_run_nct) plus a parse of each
+/// output, with the seed's layout detection hoisted out of the loop
+/// (the seed never changes) and every per-item product shared through
+/// `fc`.
 ///
 /// # Errors
 ///
@@ -572,7 +574,8 @@ pub fn try_run_nct_steps_cached(
 }
 
 /// Cached CT driver: byte-identical to
-/// [`try_run_ct_steps`](crate::chain::try_run_ct_steps). Step `i+1`
+/// [`try_run_ct`](crate::chain::try_run_ct) plus a parse of each
+/// output. Step `i+1`
 /// detects layout from step `i`'s cached region scans and reuses every
 /// unchanged item's rendered text, parse, and hashes through `fc`.
 ///
@@ -640,7 +643,7 @@ pub fn try_run_ct_steps_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{try_run_ct_steps, try_run_nct_steps};
+    use crate::chain::{try_run_ct, try_run_nct};
     use crate::pool::YearPool;
     use synthattr_gen::challenges::ChallengeId;
     use synthattr_gen::corpus::{solution_in_style, Origin};
@@ -706,15 +709,7 @@ mod tests {
         let seed = seed_code(9);
         let seed_unit = parse(&seed).unwrap();
 
-        let plain = try_run_ct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            12,
-            Origin::Human,
-            &mut Pcg64::new(32),
-        )
-        .unwrap();
+        let plain = try_run_ct(&gpt, &seed, 12, Origin::Human, &mut Pcg64::new(32)).unwrap();
         let mut fc = FrontendCache::new();
         let cached = try_run_ct_steps_cached(
             &gpt,
@@ -728,9 +723,8 @@ mod tests {
         .unwrap();
         assert_eq!(plain.len(), cached.len());
         for (p, c) in plain.iter().zip(&cached) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
-            assert_eq!(c.unit, parse(&c.sample.source).unwrap());
+            assert_eq!(*p, c.sample);
+            assert_eq!(c.unit, parse(&p.source).unwrap());
             // Region structure tiles the text and hashes its items.
             let mut pos = 0usize;
             for (span, (item, hash)) in c
@@ -761,8 +755,8 @@ mod tests {
         )
         .unwrap();
         for (p, c) in plain.iter().zip(&warm) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
+            assert_eq!(*p, c.sample);
+            assert_eq!(c.unit, parse(&p.source).unwrap());
         }
     }
 
@@ -773,15 +767,7 @@ mod tests {
         let seed = seed_code(4);
         let seed_unit = parse(&seed).unwrap();
 
-        let plain = try_run_nct_steps(
-            &gpt,
-            &seed,
-            &seed_unit,
-            10,
-            Origin::ChatGpt,
-            &mut Pcg64::new(31),
-        )
-        .unwrap();
+        let plain = try_run_nct(&gpt, &seed, 10, Origin::ChatGpt, &mut Pcg64::new(31)).unwrap();
         let mut fc = FrontendCache::new();
         let cached = try_run_nct_steps_cached(
             &gpt,
@@ -795,8 +781,8 @@ mod tests {
         .unwrap();
         assert_eq!(plain.len(), cached.len());
         for (p, c) in plain.iter().zip(&cached) {
-            assert_eq!(p.sample, c.sample);
-            assert_eq!(p.unit, c.unit);
+            assert_eq!(*p, c.sample);
+            assert_eq!(c.unit, parse(&p.source).unwrap());
         }
     }
 

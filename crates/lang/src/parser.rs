@@ -37,28 +37,26 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
     Parser::new(tokens).unit()
 }
 
-/// Parses `src` with additional names pre-registered as type names, as
-/// if `typedef`s introducing them had already been seen.
+/// How deep the recursive productions (`statement`/`block`,
+/// `assignment`/`unary`/`primary` and `parse_type`) may nest before
+/// the parser refuses the input with "nesting too deep".
 ///
-/// The parser's only cross-item state is its running type-name list
-/// (`typedef` / `using x = ...` feed type disambiguation for later
-/// items). Parsing item *k* of a unit therefore equals parsing item
-/// *k*'s text alone with the aliases of items `0..k` supplied here —
-/// which is what lets the incremental frontend re-parse only the
-/// regions whose text changed.
+/// The downstream walkers (render, hash, lint, fingerprint, CFG,
+/// dataflow, features) recurse once per AST level, and the parser
+/// counts at least one level per AST level it builds by recursion, so
+/// this one bound keeps them within a 2 MiB worker stack. Binary and
+/// postfix chains (`a + b + c`, `v[i][j]`) nest left-deep in a loop
+/// rather than by recursion and are not bounded here.
 ///
-/// # Errors
-///
-/// Same as [`parse`].
-pub fn parse_with_type_context(
-    src: &str,
-    extra_types: &[String],
-) -> Result<TranslationUnit, ParseError> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
-    parser.type_names.extend(extra_types.iter().cloned());
-    parser.unit()
-}
+/// Chosen from data: instrumenting this counter and running every
+/// program the generator and the transform simulator emit through it
+/// (the paper-scale 2017–2019 pipelines with all 1 600 transformed
+/// samples each, the 2 000-author corpora, and 256-step CT plus 50-step
+/// NCT chains from every 97th human sample), the deepest nesting seen
+/// was 20 levels. 256 is a margin of about 12×; nesting just under it
+/// parses, lints and featurizes on a 2 MiB thread (see the workspace's
+/// `tests/nesting_budget.rs`).
+pub const MAX_NESTING: usize = 256;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -66,6 +64,9 @@ struct Parser {
     /// Names introduced by `typedef` / `using x = ...`, plus the
     /// standard-library names treated as types.
     type_names: Vec<String>,
+    /// Current nesting of the recursive productions (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -73,6 +74,7 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
+            depth: 0,
             type_names: vec![
                 "string".into(),
                 "vector".into(),
@@ -146,6 +148,21 @@ impl Parser {
         } else {
             Err(self.err(format!("expected `{}`, found `{}`", kind, self.raw())))
         }
+    }
+
+    /// Runs one recursive production a level deeper, refusing input
+    /// nested past [`MAX_NESTING`] instead of overflowing the stack.
+    fn nested<T>(
+        &mut self,
+        production: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = production(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -287,6 +304,10 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
+        self.nested(Self::parse_type_body)
+    }
+
+    fn parse_type_body(&mut self) -> Result<Type, ParseError> {
         let mut is_const = false;
         if self.eat(&TokenKind::KwConst) {
             is_const = true;
@@ -415,6 +436,10 @@ impl Parser {
     // -- statements -------------------------------------------------------------
 
     fn block(&mut self) -> Result<Block, ParseError> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Result<Block, ParseError> {
         self.expect(&TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         loop {
@@ -437,6 +462,10 @@ impl Parser {
     /// (non-block) statement used as a control-flow body, callers wrap
     /// it in a [`Block`] via [`Parser::body`].
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement_body)
+    }
+
+    fn statement_body(&mut self) -> Result<Stmt, ParseError> {
         use TokenKind::*;
         match self.peek().clone() {
             LBrace => Ok(Stmt::Block(self.block()?)),
@@ -517,8 +546,10 @@ impl Parser {
         let then_branch = self.body()?;
         let else_branch = if self.eat(&TokenKind::KwElse) {
             if self.peek() == &TokenKind::KwIf {
-                // `else if` chain: represent as a block with one `If`.
-                Some(Block::new(vec![self.if_statement()?]))
+                // `else if` chain: represent as a block with one `If`
+                // (parsed through `statement`, so a long ladder counts
+                // against the nesting budget like any other nesting).
+                Some(Block::new(vec![self.statement()?]))
             } else {
                 Some(self.body()?)
             }
@@ -648,6 +679,10 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::assignment_body)
+    }
+
+    fn assignment_body(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary()?;
         let op = match self.peek() {
             TokenKind::Assign => Some(AssignOp::Assign),
@@ -723,6 +758,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Expr, ParseError> {
         use TokenKind::*;
         let op = match self.peek() {
             Minus => Some(UnaryOp::Neg),
@@ -832,6 +871,10 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::primary_body)
+    }
+
+    fn primary_body(&mut self) -> Result<Expr, ParseError> {
         use TokenKind::*;
         match self.peek().clone() {
             IntLit(v) => {
@@ -1233,6 +1276,29 @@ mod tests {
     fn rejects_struct_and_switch() {
         assert!(parse("struct P { int x; };").is_err());
         assert!(parse("int main() { switch (1) { } }").is_err());
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the std default the
+    /// server's worker threads run on.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    #[test]
+    fn ten_thousand_nested_parens_are_refused_on_a_worker_stack() {
+        let src = format!(
+            "int main() {{ return {}1{}; }}",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        );
+        let err = on_worker_stack(move || parse(&src)).unwrap_err();
+        assert_eq!(err.message(), "nesting too deep");
+        assert_eq!(err.line(), 1);
     }
 
     #[test]

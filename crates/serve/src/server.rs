@@ -597,12 +597,10 @@ pub fn attribution_body(year: u32, proba: &[f32]) -> String {
     // Descending probability; ties break to the lowest label, matching
     // the forest's own argmax, so `label` always equals `ranking[0]`.
     let mut order: Vec<usize> = (0..proba.len()).collect();
-    order.sort_by(|&a, &b| {
-        proba[b]
-            .partial_cmp(&proba[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    // `total_cmp` orders the forest's non-negative finite probabilities
+    // exactly as `partial_cmp` would, and still gives a total order if a
+    // NaN ever slips in (it ranks first, deterministically).
+    order.sort_by(|&a, &b| proba[b].total_cmp(&proba[a]).then(a.cmp(&b)));
     let label = order.first().copied().unwrap_or(0);
     let ranking = json::array(
         order
@@ -1448,6 +1446,21 @@ mod tests {
         assert!(
             ranked.contains("\"probabilities\":[0.4,0.4,0.2]"),
             "full vector serialized: {ranked}"
+        );
+    }
+
+    #[test]
+    fn attribution_body_ranks_nan_deterministically_with_label_first() {
+        let proba = [0.3, f32::NAN, 0.5, 0.2];
+        let body = attribution_body(2018, &proba);
+        assert_eq!(body, attribution_body(2018, &proba), "deterministic");
+        // NaN ranks first under `total_cmp`, then descending; the label
+        // is `ranking[0]`.
+        assert!(
+            body.starts_with(
+                "{\"year\":2018,\"label\":1,\"ranking\":[{\"author\":1,\"p\":null},{\"author\":2,"
+            ),
+            "{body}"
         );
     }
 }

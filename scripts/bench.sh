@@ -10,20 +10,18 @@
 # run, so the summary printed at the end is an apples-to-apples
 # fast-path speedup on this machine.
 #
-# The `faults` target sweeps the chaos proxy at 0/5/20% fault rates
-# against the bare simulator and lands in BENCH_faults.json, so the
-# retry/validation overhead has its own trajectory file.
+# The `faults` target sweeps the node-cached resilient drivers the
+# pipeline runs (`run_{nct,ct}_resilient_cached`) at 0/5/20% fault
+# rates against the bare simulator and lands in BENCH_faults.json, so
+# the retry/validation overhead has its own trajectory file.
 #
-# The `pipeline` target races all three frontend generations in one
-# run: the node-level incremental frontend vs. the retained reference
-# re-parse frontend on the frontend-heavy build (fault-free and
-# chaos@20%), and incremental vs. the retained whole-file artifact
-# cache on the chain-heavy build (`cached/chain` / `wholefile/chain`,
-# both under the recoverable 20% fault profile). Lands in
-# BENCH_pipeline.json; the summary printed at the end gives the
-# cached-vs-reference and chain speedups on this machine. Its JSON
-# lines carry `allocs_per_iter`/`alloc_bytes_per_iter` from the bench
-# binary's counting allocator.
+# The `pipeline` target times `YearPipeline::try_build` on the
+# production frontend: a frontend-heavy build (fault-free and
+# chaos@20%) and a chain-heavy build (`cached/chain`, 256-step streams
+# under the recoverable 20% fault profile). Lands in
+# BENCH_pipeline.json; its JSON lines carry
+# `allocs_per_iter`/`alloc_bytes_per_iter` from the bench binary's
+# counting allocator.
 #
 # The `serve` target spins up a real `synthattr-serve` server on a
 # loopback socket and drives it with seeded keep-alive clients: serial
@@ -97,7 +95,7 @@ done
 echo "== bench: faults (chaos proxy overhead) ==" >&2
 cargo bench --offline -p synthattr-bench --bench faults | grep '^{' > "$FAULTS_OUT"
 
-echo "== bench: pipeline (single-parse frontend vs reference) ==" >&2
+echo "== bench: pipeline (end-to-end builds on the production frontend) ==" >&2
 # End-to-end pipeline builds run ~100 ms/iteration, so the harness
 # defaults (300 ms warmup / 2 s measure) yield too few samples for
 # stable medians; give this target a larger budget unless the caller
@@ -129,38 +127,30 @@ faults_median() {
     | sed -E 's/.*"median_ns":([0-9.]+).*/\1/' | head -n 1
 }
 
-bare=$(faults_median "nct/bare")
-r20=$(faults_median "nct/rate20")
-if [[ -n "$bare" && -n "$r20" ]]; then
-  awk -v bare="$bare" -v r20="$r20" 'BEGIN {
-    printf "faults nct/10: bare %.2f ms vs chaos@20%% %.2f ms -> %.2fx overhead\n",
-      bare / 1e6, r20 / 1e6, r20 / bare
-  }' >&2
-fi
+for proto in nct ct; do
+  bare=$(faults_median "$proto/bare")
+  r0=$(faults_median "$proto/rate0")
+  r20=$(faults_median "$proto/rate20")
+  if [[ -n "$bare" && -n "$r0" && -n "$r20" ]]; then
+    awk -v proto="$proto" -v bare="$bare" -v r0="$r0" -v r20="$r20" 'BEGIN {
+      printf "faults %s/10: bare %.2f ms, chaos@0%% %.2f ms (%.2fx), chaos@20%% %.2f ms (%.2fx)\n",
+        proto, bare / 1e6, r0 / 1e6, r0 / bare, r20 / 1e6, r20 / bare
+    }' >&2
+  fi
+done
 pipeline_median() {
   grep "\"group\":\"pipeline\"" "$PIPELINE_OUT" | grep "\"bench\":\"$1\"" \
     | sed -E 's/.*"median_ns":([0-9.]+).*/\1/' | head -n 1
 }
 
-for pair in plain chaos20; do
-  cached=$(pipeline_median "cached/$pair")
-  reference=$(pipeline_median "reference/$pair")
-  if [[ -n "$cached" && -n "$reference" ]]; then
-    awk -v cached="$cached" -v reference="$reference" -v pair="$pair" 'BEGIN {
-      printf "pipeline %s: cached %.2f ms vs reference %.2f ms -> %.2fx speedup\n",
-        pair, cached / 1e6, reference / 1e6, reference / cached
+for build in plain chaos20 chain; do
+  median=$(pipeline_median "cached/$build")
+  if [[ -n "$median" ]]; then
+    awk -v build="$build" -v median="$median" 'BEGIN {
+      printf "pipeline %s: %.2f ms per build\n", build, median / 1e6
     }' >&2
   fi
 done
-
-incr=$(pipeline_median "cached/chain")
-whole=$(pipeline_median "wholefile/chain")
-if [[ -n "$incr" && -n "$whole" ]]; then
-  awk -v incr="$incr" -v whole="$whole" 'BEGIN {
-    printf "pipeline chain: incremental %.2f ms vs wholefile %.2f ms -> %.2fx speedup\n",
-      incr / 1e6, whole / 1e6, whole / incr
-  }' >&2
-fi
 
 serve_field() {
   grep "\"bench\":\"$1\"" "$SERVE_OUT" | sed -E "s/.*\"$2\":([0-9.]+).*/\1/" | head -n 1

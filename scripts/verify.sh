@@ -13,12 +13,10 @@
 #                                     #   + corpus lint (all three years)
 #   scripts/verify.sh --chaos         # tier-1 + the fault-injection
 #                                     #   suites + the chaos_drill demo
-#   scripts/verify.sh --frontend      # tier-1 + the single-parse
-#                                     #   frontend A/B + cache suites
-#                                     #   with visible output
-#   scripts/verify.sh --increment     # tier-1 + the node-level
-#                                     #   incremental-vs-reference A/B
-#                                     #   suite with visible output
+#   scripts/verify.sh --frontend      # tier-1 + the fresh-parse
+#                                     #   frontend oracle, cache and
+#                                     #   parts-vs-whole suites with
+#                                     #   visible output
 #   scripts/verify.sh --serve         # tier-1 + the serving stack:
 #                                     #   serve unit tests, the TCP
 #                                     #   e2e byte-identity suite, and
@@ -65,24 +63,14 @@
 # build (DESIGN.md §9). Both suites also run under plain tier-1;
 # the flag exists to exercise them in isolation with visible output.
 #
-# --frontend re-runs the single-parse frontend suites by name: the
-# cached-vs-reference A/B grid in synthattr-core (9 pools × NCT/CT ×
-# fault rates 0/5/20%, DESIGN.md §10) and the end-to-end cache
-# property suite, plus a build of synthattr-core with the
-# reference-frontend feature enabled so the retained baseline cannot
-# bit-rot. Both suites also run under plain tier-1; the flag exists
-# to exercise them in isolation with visible output.
-#
-# --increment re-runs the node-level incremental frontend suites by
-# name: the incremental-vs-wholefile A/B grid in synthattr-core (9
-# pools x NCT/CT x fault rates 0/5/20% — features, diagnostics,
-# fingerprints, and tables must be bit-identical, and node counters
-# worker-invariant; DESIGN.md §12), the features crate's
-# parts-vs-whole extraction property suite, and a test build of
-# synthattr-core with the reference-increment feature enabled so the
-# retained whole-file chain path cannot bit-rot. The grid also runs
-# under plain tier-1; the flag exists to exercise it in isolation
-# with visible output.
+# --frontend re-runs the frontend suites by name: the fresh-parse
+# differential oracle (9 pools x NCT/CT x fault rates 0/5/20% — every
+# cached feature vector, oracle label, fingerprint, sample sequence and
+# the diagnostic totals must equal a from-scratch parse of the emitted
+# text; DESIGN.md §10, §12), the end-to-end artifact-cache property
+# suite, and the features crate's parts-vs-whole extraction property
+# suite. All three also run under plain tier-1; the flag exists to
+# exercise them in isolation with visible output.
 #
 # --dataflow re-runs the dataflow subsystem by name with visible
 # output: the synthattr-analysis unit tests (CFG construction, the
@@ -135,7 +123,6 @@ BENCH_SMOKE=0
 LINT=0
 CHAOS=0
 FRONTEND=0
-INCREMENT=0
 SERVE=0
 SERVE_HARDENING=0
 DATAFLOW=0
@@ -147,7 +134,6 @@ for arg in "$@"; do
     --lint) LINT=1 ;;
     --chaos) CHAOS=1 ;;
     --frontend) FRONTEND=1 ;;
-    --increment) INCREMENT=1 ;;
     --serve) SERVE=1 ;;
     --serve-hardening) SERVE_HARDENING=1 ;;
     --dataflow) DATAFLOW=1 ;;
@@ -162,14 +148,11 @@ export CARGO_NET_OFFLINE=true
 echo "== tier-1: cargo build --release (offline) ==" >&2
 cargo build --release --offline
 
+# The root manifest's `default-members` lists every crate, so this
+# one command runs the whole workspace: every crate's unit,
+# integration and doc tests plus the root suites.
 echo "== tier-1: cargo test -q (offline) ==" >&2
 cargo test -q --offline
-
-# Tier-1 covers the root package; the workspace flag pulls in every
-# crate's unit and integration tests (pool, prop harness, forest
-# worker-count determinism, ...).
-echo "== extended: cargo test -q --workspace (offline) ==" >&2
-cargo test -q --offline --workspace
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
   export SYNTHATTR_BENCH_WARMUP_MS=1
@@ -201,21 +184,12 @@ if [[ "$CHAOS" == "1" ]]; then
 fi
 
 if [[ "$FRONTEND" == "1" ]]; then
-  echo "== frontend: cached vs reference A/B grid (9 pools x 0/5/20%) ==" >&2
-  cargo test --offline -p synthattr-core --lib frontend_ab
+  echo "== frontend: fresh-parse oracle (9 pools x NCT/CT x 0/5/20%) ==" >&2
+  cargo test --offline --test fresh_parse_oracle
   echo "== frontend: artifact cache property suite ==" >&2
   cargo test --offline --test frontend_cache
-  echo "== frontend: reference-frontend feature build ==" >&2
-  cargo test -q --offline -p synthattr-core --features reference-frontend
-fi
-
-if [[ "$INCREMENT" == "1" ]]; then
-  echo "== increment: incremental vs wholefile A/B grid (9 pools x NCT/CT x 0/5/20%) ==" >&2
-  cargo test --offline -p synthattr-core --lib increment_ab
-  echo "== increment: parts-vs-whole extraction property suite ==" >&2
+  echo "== frontend: parts-vs-whole extraction property suite ==" >&2
   cargo test --offline -p synthattr-features --lib incr
-  echo "== increment: reference-increment feature build ==" >&2
-  cargo test -q --offline -p synthattr-core --features reference-increment
 fi
 
 if [[ "$DATAFLOW" == "1" ]]; then

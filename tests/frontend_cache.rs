@@ -1,9 +1,8 @@
-//! End-to-end properties of the single-parse artifact frontend
-//! (ISSUE 5 acceptance).
+//! End-to-end properties of the single-parse artifact frontend.
 //!
-//! The crate-level A/B suite (`crates/core/src/frontend_ab.rs`) proves
-//! the cached frontend is bit-identical to the reference re-parse
-//! frontend; this suite closes the loop on the cache's own contract:
+//! The fresh-parse oracle (`tests/fresh_parse_oracle.rs`) proves every
+//! cached product equals a from-scratch parse of the emitted text; this
+//! suite closes the loop on the cache's own contract:
 //!
 //! 1. hit/miss totals — not just pipeline outputs — are invariant
 //!    under the worker count, because caches are sharded per dispatch

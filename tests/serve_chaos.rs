@@ -326,3 +326,42 @@ fn mixed_hostile_fleet_leaves_the_server_healthy() {
     }
     server.shutdown();
 }
+
+/// 10 000 nested parentheses: 20 036 bytes, far under the body limit,
+/// and deep enough to overflow a 2 MiB worker stack in a recursive
+/// descent that had no nesting budget.
+fn deeply_nested_source() -> String {
+    let depth = 10_000;
+    let src = format!(
+        "int main() {{ int x = {}1{}; return x; }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    assert_eq!(src.len(), 20_036);
+    src
+}
+
+/// The nesting budget over real TCP: the deep payload is a frontend
+/// rejection (422) on both frontend routes, and the server — whose
+/// workers run on the default 2 MiB stack — is still up afterwards.
+#[test]
+fn deeply_nested_source_is_rejected_and_the_server_stays_up() {
+    let server = spawn_with(ConnPolicy::default(), true);
+    let addr = server.addr();
+    let body = deeply_nested_source();
+    for target in [
+        format!("/attribute?year={YEAR}"),
+        format!("/transform?year={YEAR}&mode=ct&steps=2&seed=1"),
+    ] {
+        let resp = synthattr::serve::client::request(addr, "POST", &target, &[], body.as_bytes())
+            .unwrap_or_else(|e| panic!("{target}: the server must answer, got {e}"));
+        assert_eq!(resp.status, 422, "{target}: {}", resp.text());
+        assert!(
+            resp.text().contains("nesting too deep"),
+            "{target}: {}",
+            resp.text()
+        );
+    }
+    assert!(healthz_text(addr).contains("\"status\":\"ok\""));
+    server.shutdown();
+}
