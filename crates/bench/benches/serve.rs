@@ -3,12 +3,11 @@
 //!
 //! Scenarios:
 //!
-//! * `attribute/serial` — one keep-alive client, per-request latency
-//!   with no coalescing opportunity (every batch is a batch of one);
+//! * `attribute/serial` — one keep-alive client, per-request latency;
 //! * `attribute/concurrent8` — eight keep-alive clients hammering the
-//!   same server, which is where micro-batching earns its keep; the
-//!   summary's p50/p95 are per-request latencies across all clients,
-//!   and a separate `throughput` line reports sustained req/s;
+//!   same server; the summary's p50/p95 are per-request latencies
+//!   across all clients, and a separate `throughput` line reports
+//!   sustained req/s;
 //! * `healthz/serial` — the no-model control: pure parse + route +
 //!   serialize overhead;
 //! * `sweep/cN` (N ∈ 1, 8, 64, 256) — the saturating sweep: N
@@ -205,12 +204,12 @@ fn main() {
     let sources = sources();
     let server = spawn_server();
 
-    // Warm the cache and the batcher exactly once per source.
+    // Warm the cache exactly once per source.
     for src in &sources {
         client_loop(&server, usize::MAX, 1, std::slice::from_ref(src), None);
     }
 
-    // Serial: one client, no coalescing.
+    // Serial: one client.
     let mut serial = client_loop(&server, 0, n, &sources, None);
     serial.sort_unstable();
     emit(&Summary::from_sorted(

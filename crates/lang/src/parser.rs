@@ -37,24 +37,28 @@ pub fn parse(src: &str) -> Result<TranslationUnit, ParseError> {
     Parser::new(tokens).unit()
 }
 
-/// How deep the recursive productions (`statement`/`block`,
-/// `assignment`/`unary`/`primary` and `parse_type`) may nest before
-/// the parser refuses the input with "nesting too deep".
+/// How deep the tree the parser builds may grow before it refuses the
+/// input with "nesting too deep": one level per recursive production
+/// (`statement`/`block`, `assignment`/`unary`/`primary` and
+/// `parse_type`) and one per node of a left-deep chain. Binary and
+/// postfix chains (`a + b + c`, `v[i][j]`) are built in a loop, not by
+/// recursion, so each chain node is charged at its true height: one
+/// above the taller of its operands.
 ///
 /// The downstream walkers (render, hash, lint, fingerprint, CFG,
 /// dataflow, features) recurse once per AST level, and the parser
-/// counts at least one level per AST level it builds by recursion, so
-/// this one bound keeps them within a 2 MiB worker stack. Binary and
-/// postfix chains (`a + b + c`, `v[i][j]`) nest left-deep in a loop
-/// rather than by recursion and are not bounded here.
+/// counts at least one level per AST level, so this one bound keeps
+/// them within a 2 MiB worker stack.
 ///
 /// Chosen from data: instrumenting this counter and running every
 /// program the generator and the transform simulator emit through it
 /// (the paper-scale 2017–2019 pipelines with all 1 600 transformed
 /// samples each, the 2 000-author corpora, and 256-step CT plus 50-step
-/// NCT chains from every 97th human sample), the deepest nesting seen
-/// was 20 levels. 256 is a margin of about 12×; nesting just under it
-/// parses, lints and featurizes on a 2 MiB thread (see the workspace's
+/// NCT chains from every 97th human sample), the deepest tree seen was
+/// 23 levels (20 from the recursive productions alone), and the longest
+/// binary or postfix chain had 7 operators. 256 is a margin of about
+/// 11×; trees just under it parse, lint and featurize on a 2 MiB
+/// thread, and 20 000-term chains are refused (see the workspace's
 /// `tests/nesting_budget.rs`).
 pub const MAX_NESTING: usize = 256;
 
@@ -67,6 +71,9 @@ struct Parser {
     /// Current nesting of the recursive productions (see
     /// [`MAX_NESTING`]).
     depth: usize,
+    /// The deepest level the tree being measured reaches, counting the
+    /// nodes of left-deep chains (see [`Parser::measured`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -75,6 +82,7 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
+            peak: 0,
             type_names: vec![
                 "string".into(),
                 "vector".into(),
@@ -156,13 +164,36 @@ impl Parser {
         &mut self,
         production: fn(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        if self.depth >= MAX_NESTING {
-            return Err(self.err("nesting too deep"));
-        }
+        self.reach(1)?;
         self.depth += 1;
         let out = production(self);
         self.depth -= 1;
         out
+    }
+
+    /// Records that the tree under construction reaches `height`
+    /// levels below the current depth, refusing it past
+    /// [`MAX_NESTING`].
+    fn reach(&mut self, height: usize) -> Result<(), ParseError> {
+        let level = self.depth + height;
+        if level > MAX_NESTING {
+            return Err(self.err("nesting too deep"));
+        }
+        self.peak = self.peak.max(level);
+        Ok(())
+    }
+
+    /// Runs `production` at the current depth and also returns how many
+    /// levels below that depth its tree reaches.
+    fn measured<T>(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(T, usize), ParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = production(self);
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        out.map(|tree| (tree, height))
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -744,15 +775,18 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
+        let (mut lhs, mut height) = self.measured(Self::unary)?;
         while let Some(op) = self.binary_op() {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
             self.advance();
-            let rhs = self.binary(prec + 1)?;
+            let (rhs, rhs_height) = self.measured(|p| p.binary(prec + 1))?;
             lhs = Expr::bin(op, lhs, rhs);
+            // The new node sits one level above its taller operand.
+            height = height.max(rhs_height) + 1;
+            self.reach(height)?;
         }
         Ok(lhs)
     }
@@ -785,15 +819,19 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.primary()?;
+        let (mut expr, mut height) = self.measured(Self::primary)?;
         loop {
+            // The tallest child of the node this step builds.
+            let mut below = height;
             match self.peek() {
                 TokenKind::LParen => {
                     self.advance();
                     let mut args = Vec::new();
                     if self.peek() != &TokenKind::RParen {
                         loop {
-                            args.push(self.assignment()?);
+                            let (arg, arg_height) = self.measured(Self::assignment)?;
+                            below = below.max(arg_height);
+                            args.push(arg);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
@@ -807,7 +845,8 @@ impl Parser {
                 }
                 TokenKind::LBracket => {
                     self.advance();
-                    let index = self.expression()?;
+                    let (index, index_height) = self.measured(Self::expression)?;
+                    below = below.max(index_height);
                     self.expect(&TokenKind::RBracket)?;
                     expr = Expr::index(expr, index);
                 }
@@ -845,6 +884,8 @@ impl Parser {
                 }
                 _ => return Ok(expr),
             }
+            height = below + 1;
+            self.reach(height)?;
         }
     }
 

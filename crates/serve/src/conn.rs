@@ -3,10 +3,9 @@
 //! The rotation loop in `server.rs` never camps on a socket — it
 //! reads what a connection has to offer, then either serves, parks,
 //! or closes it. *Which* of those happens is decided here, by a pure
-//! policy core in the same style as [`crate::batch::BatchQueue`]:
-//! every method takes an explicit `now_ms`, so the unit suite can
-//! replay a slow-loris, a byte-dripper, or an idle keep-alive session
-//! with a scripted clock and no sockets at all.
+//! policy core: every method takes an explicit `now_ms`, so the unit
+//! suite can replay a slow-loris, a byte-dripper, or an idle
+//! keep-alive session with a scripted clock and no sockets at all.
 //!
 //! The model: a connection is always in one [`Phase`]. Time spent
 //! in [`Phase::Idle`] accrues against a *total* idle budget for the
@@ -43,8 +42,12 @@ pub struct ConnPolicy {
     /// parked again, so one pipelining client cannot monopolize a
     /// worker.
     pub max_requests_per_slice: u32,
-    /// Cap on the exponential back-off a worker sleeps after an
-    /// unproductive sweep of the parked set, bounding idle spin.
+    /// Cap on the exponential back-off after an unproductive sweep of
+    /// the parked set, bounding idle spin. While there are no more open
+    /// connections than workers, the worker spends it waiting for the
+    /// connection it just drove to become readable (and serves it at
+    /// once if it does); otherwise, or if that connection's response
+    /// write is blocked, it sleeps.
     pub rotation_backoff_ms: u64,
 }
 

@@ -30,14 +30,15 @@
 //! * `POST /transform?year=Y&mode=nct|ct&steps=N&seed=S` — body: seed
 //!   source; response: the simulated ChatGPT transformation chain.
 //! * `GET /healthz` — circuit-breaker state, cache hit/eviction rates,
-//!   registry load state, batching, traffic, connection gauges,
-//!   per-cause close counters, and the drain state.
+//!   registry load state, traffic, connection gauges, per-cause close
+//!   counters, and the drain state.
 //!
 //! Determinism: attribution is a pure function of (year, body) — the
 //! registry trains through the offline pipeline's code path, feature
-//! extraction is cached but pure, and batching only groups pure
-//! per-row predictions — so responses are byte-identical across
-//! worker counts, client counts, rotation schedules, and restarts.
+//! extraction is cached but pure, and each request's prediction is a
+//! pure per-row forest walk on the worker that serves it — so
+//! responses are byte-identical across worker counts, client counts,
+//! rotation schedules, and restarts.
 
 use std::io::{self, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -56,7 +57,6 @@ use synthattr_gpt::transform::Transformer;
 use synthattr_gpt::GptError;
 use synthattr_util::{pool, pool::WorkQueue, Pcg64};
 
-use crate::batch::{BatchConfig, MicroBatcher};
 use crate::conn::{CloseCause, ConnCounters, ConnGauge, ConnPolicy, Verdict};
 use crate::drain::{DrainState, DrainStats};
 use crate::http::{read_request, scan_request, HttpError, Limits, Request, Response, ScanStatus};
@@ -81,8 +81,6 @@ pub struct ServeConfig {
     pub workers: Option<usize>,
     /// Capacity of the shared artifact LRU.
     pub cache_capacity: usize,
-    /// Micro-batching policy for `/attribute`.
-    pub batch: BatchConfig,
     /// Per-client rate limits (`None` disables limiting).
     pub rate: Option<RateConfig>,
     /// Circuit-breaker tuning for the transform engine.
@@ -108,7 +106,6 @@ impl ServeConfig {
             years: vec![2017, 2018, 2019],
             workers: None,
             cache_capacity: 256,
-            batch: BatchConfig::default(),
             rate: Some(RateConfig::default()),
             breaker: BreakerConfig::default(),
             conn: ConnPolicy::default(),
@@ -153,7 +150,6 @@ pub struct ServeStats {
 pub struct ServerState {
     config: ServeConfig,
     registry: ModelRegistry,
-    batchers: Mutex<std::collections::HashMap<u32, Arc<MicroBatcher>>>,
     cache: Mutex<ArtifactCache>,
     limiter: Option<Mutex<RateLimiter>>,
     breaker: Mutex<CircuitBreaker>,
@@ -176,7 +172,6 @@ impl ServerState {
             cache: Mutex::new(ArtifactCache::bounded(config.cache_capacity)),
             limiter: config.rate.clone().map(|r| Mutex::new(RateLimiter::new(r))),
             breaker: Mutex::new(CircuitBreaker::new(config.breaker.clone())),
-            batchers: Mutex::new(std::collections::HashMap::new()),
             stats: ServeStats::default(),
             conns: ConnCounters::default(),
             drain: DrainState::new(config.drain_deadline_ms),
@@ -229,15 +224,6 @@ impl ServerState {
     /// Milliseconds since the server started — the limiter's clock.
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
-    }
-
-    /// The per-year batcher, created on first use.
-    fn batcher(&self, year: u32) -> Option<Arc<MicroBatcher>> {
-        let model = self.registry.get(year)?;
-        let mut batchers = self.batchers.lock().expect("batchers poisoned");
-        Some(Arc::clone(batchers.entry(year).or_insert_with(|| {
-            Arc::new(MicroBatcher::new(model, self.config.batch.clone()))
-        })))
     }
 
     /// Routes one parsed request. Pure of the transport: no socket in
@@ -342,8 +328,11 @@ impl ServerState {
         // and labels are computed from each year's forest below — never
         // from the artifact's per-model label slot.
         let artifact = self.cache.lock().expect("cache poisoned").intern(source);
-        let features = match artifact.features(model.model.extractor()) {
-            Ok(f) => f.to_vec(),
+        // Prediction runs inline: a lone row is a few tree walks, and
+        // the forest only fans rows out to the pool in batches far
+        // larger than concurrent requests ever form.
+        let proba = match artifact.features(model.model.extractor()) {
+            Ok(features) => model.model.forest().predict_proba(features),
             Err(e) => {
                 return Response::json(
                     422,
@@ -355,17 +344,6 @@ impl ServerState {
                 )
             }
         };
-
-        let batcher = match self.batcher(model.year) {
-            Some(b) => b,
-            None => {
-                return Response::json(
-                    500,
-                    format!("{{\"error\":{}}}", json::string("registry lost a year")),
-                )
-            }
-        };
-        let proba = batcher.submit(features);
         self.stats.attribute_ok.fetch_add(1, Ordering::Relaxed);
         Response::json(200, attribution_body(model.year, &proba))
     }
@@ -524,17 +502,6 @@ impl ServerState {
         );
         drop(cache);
 
-        let (batches, batched_rows, max_batch) = {
-            let batchers = self.batchers.lock().expect("batchers poisoned");
-            batchers.values().fold((0u64, 0u64, 0u64), |acc, b| {
-                let s = b.stats();
-                (
-                    acc.0 + s.batches.load(Ordering::Relaxed),
-                    acc.1 + s.rows.load(Ordering::Relaxed),
-                    acc.2.max(s.max_batch_seen.load(Ordering::Relaxed)),
-                )
-            })
-        };
         let (rate_clients, rate_rejected) = match &self.limiter {
             None => (0, 0),
             Some(l) => {
@@ -559,7 +526,6 @@ impl ServerState {
         let body = format!(
             "{{\"status\":{},\"drain_state\":{},\"uptime_ms\":{},\"years\":{},\"loaded\":{},\
              \"breaker\":{},\"cache\":{},\
-             \"batch\":{{\"batches\":{},\"rows\":{},\"max_batch\":{}}},\
              \"rate\":{{\"clients\":{},\"rejected\":{}}},\
              {},\
              \"requests\":{{\"total\":{},\"attribute_ok\":{},\"transform_ok\":{},\"healthz\":{},\
@@ -571,9 +537,6 @@ impl ServerState {
             json::array(self.registry.loaded().iter().map(|y| y.to_string())),
             breaker_json,
             cache_json,
-            batches,
-            batched_rows,
-            max_batch,
             rate_clients,
             rate_rejected,
             connections_json,
@@ -668,7 +631,7 @@ impl Server {
         self.listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
-                scope.spawn(|| worker_loop(state, &queue));
+                scope.spawn(|| worker_loop(state, &queue, self.workers as u64));
             }
             // Non-blocking accept: new connections are configured and
             // parked; the 1 ms poll doubles as the drain-flag check,
@@ -1148,53 +1111,104 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
     }
 }
 
+/// Waits up to `timeout` for the peer to send a byte or close, without
+/// consuming anything: the socket goes blocking with a read timeout for
+/// one `peek`, then back to non-blocking. `Ok(true)` means the next
+/// read will not block (bytes, EOF, or a socket error for `drive` to
+/// name); `Ok(false)` means the wait timed out. An error means
+/// non-blocking mode could not be restored, and the connection must be
+/// closed rather than risk a read that pins its worker.
+fn await_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+    let ready = match stream
+        .set_nonblocking(false)
+        .and_then(|()| stream.set_read_timeout(Some(timeout)))
+    {
+        Ok(()) => match stream.peek(&mut [0u8; 1]) {
+            Ok(_) => true,
+            Err(e) => !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ),
+        },
+        // Could not arm the wait: report "not ready" and let the
+        // restore below decide whether the socket is still usable.
+        Err(_) => false,
+    };
+    stream.set_nonblocking(true)?;
+    Ok(ready)
+}
+
 /// One rotation worker: pop a parked connection, drive it for a
-/// slice, park it back or retire it, and back off exponentially when
-/// a full sweep of the open set yields nothing (bounding idle spin at
-/// [`ConnPolicy::rotation_backoff_ms`] per sweep).
-fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>) {
+/// slice, park it back or retire it. When a full sweep of the open set
+/// yields nothing, the worker backs off exponentially (capped at
+/// [`ConnPolicy::rotation_backoff_ms`]). If every open connection can
+/// have a worker of its own (no more open connections than `workers`),
+/// the worker spends the back-off waiting for the connection it just
+/// drove to become readable, and drives it again the moment it does.
+/// Otherwise it parks the connection and sleeps: a socket read timeout
+/// ends on the kernel's scheduler tick, not on the millisecond asked
+/// for, and the connections left parked meanwhile would go unseen that
+/// long. A connection with a blocked response write would read as
+/// ready at once, so for it the back-off is always a sleep.
+fn worker_loop(state: &ServerState, queue: &WorkQueue<Conn>, workers: u64) {
     let backoff_cap = state.config.conn.rotation_backoff_ms.max(1);
     let mut idle_streak: u64 = 0;
     let mut backoff_ms: u64 = 1;
     while let Some(mut conn) = queue.pop() {
         state.conns.on_resume();
-        // A handler panic must cost one connection, not the worker.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| drive(state, &mut conn))) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                state.stats.panics.fetch_add(1, Ordering::Relaxed);
-                DriveOutcome::close(CloseCause::HostileReset, true)
-            }
-        };
-        match outcome.verdict {
-            Verdict::Close(cause) => {
-                state.conns.on_close(cause);
-                drop(conn);
-            }
-            Verdict::Park => {
-                state.conns.on_park();
-                if let Err(mut conn) = queue.offer(conn) {
-                    // The drain closed the queue between our drain
-                    // check and the park: finish the connection here
-                    // instead of slamming it shut.
-                    state.conns.on_resume();
-                    let cause = drain_serve(state, &mut conn);
-                    state.conns.on_close(cause);
+        loop {
+            // A handler panic must cost one connection, not the worker.
+            let outcome = match catch_unwind(AssertUnwindSafe(|| drive(state, &mut conn))) {
+                Ok(outcome) => outcome,
+                Err(_) => {
+                    state.stats.panics.fetch_add(1, Ordering::Relaxed);
+                    DriveOutcome::close(CloseCause::HostileReset, true)
+                }
+            };
+            // A whole sweep with no progress earns a back-off instead
+            // of spinning the park/pop cycle.
+            let mut backoff = None;
+            if outcome.productive {
+                idle_streak = 0;
+                backoff_ms = 1;
+            } else {
+                idle_streak += 1;
+                if idle_streak >= state.conns.open_now().max(1) {
+                    backoff = Some(Duration::from_millis(backoff_ms));
+                    backoff_ms = (backoff_ms * 2).min(backoff_cap);
+                    idle_streak = 0;
                 }
             }
-        }
-        if outcome.productive {
-            idle_streak = 0;
-            backoff_ms = 1;
-        } else {
-            idle_streak += 1;
-            if idle_streak >= state.conns.open_now().max(1) {
-                // A whole sweep with no progress: sleep instead of
-                // spinning the park/pop cycle.
-                std::thread::sleep(Duration::from_millis(backoff_ms));
-                backoff_ms = (backoff_ms * 2).min(backoff_cap);
-                idle_streak = 0;
+            if let (Verdict::Park, Some(wait)) = (outcome.verdict, backoff) {
+                if conn.pending.is_empty() && state.conns.open_now() <= workers {
+                    match await_readable(&conn.stream, wait) {
+                        Ok(true) => continue,
+                        Ok(false) => backoff = None,
+                        Err(_) => {
+                            state.conns.on_close(CloseCause::HostileReset);
+                            break;
+                        }
+                    }
+                }
             }
+            match outcome.verdict {
+                Verdict::Close(cause) => state.conns.on_close(cause),
+                Verdict::Park => {
+                    state.conns.on_park();
+                    if let Err(mut conn) = queue.offer(conn) {
+                        // The drain closed the queue between our drain
+                        // check and the park: finish the connection
+                        // here instead of slamming it shut.
+                        state.conns.on_resume();
+                        let cause = drain_serve(state, &mut conn);
+                        state.conns.on_close(cause);
+                    }
+                }
+            }
+            if let Some(wait) = backoff {
+                std::thread::sleep(wait);
+            }
+            break;
         }
     }
 }
@@ -1429,6 +1443,46 @@ mod tests {
             text.contains("\"drain_state\":\"draining\""),
             "body: {text}"
         );
+    }
+
+    #[test]
+    fn readiness_wait_wakes_on_bytes_or_eof_and_restores_non_blocking_mode() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_nonblocking(true).unwrap();
+
+        // An idle peer: the wait times out, and the socket is
+        // non-blocking again, so a read fails at once rather than
+        // after the wait's read timeout.
+        let wait = Duration::from_millis(100);
+        assert!(
+            !await_readable(&conn, wait).unwrap(),
+            "idle peer is not ready"
+        );
+        let started = Instant::now();
+        let err = conn.read(&mut [0u8; 8]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(
+            started.elapsed() < wait / 2,
+            "read blocked: {:?}",
+            started.elapsed()
+        );
+
+        // Bytes wake the wait long before its timeout, and stay unread.
+        let long = Duration::from_secs(10);
+        peer.write_all(b"x").unwrap();
+        let started = Instant::now();
+        assert!(await_readable(&conn, long).unwrap());
+        assert!(started.elapsed() < long / 2);
+        let mut byte = [0u8; 8];
+        assert_eq!(conn.read(&mut byte).unwrap(), 1);
+        assert_eq!(byte[0], b'x');
+
+        // So does EOF.
+        drop(peer);
+        assert!(await_readable(&conn, long).unwrap());
+        assert_eq!(conn.read(&mut byte).unwrap(), 0);
     }
 
     #[test]

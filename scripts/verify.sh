@@ -99,9 +99,9 @@
 # stay clean — new code rides this stage in CI.
 #
 # --serve re-runs the serving suites by name with visible output: the
-# synthattr-serve unit tests (parser, batcher, limiter, registry,
-# routing), the real-TCP e2e suite whose core assertion is that served
-# /attribute responses are byte-identical to the offline pipeline at
+# synthattr-serve unit tests (parser, limiter, registry, routing), the
+# real-TCP e2e suite whose core assertion is that served /attribute
+# responses are byte-identical to the offline pipeline at
 # every worker/client count in the matrix, and the HTTP robustness
 # property suite (byte soup, truncation, oversize, slow-loris,
 # pipelining — 4xx or clean close, never a panic or hang; DESIGN.md
@@ -222,7 +222,7 @@ if [[ "$STRICT" == "1" ]]; then
 fi
 
 if [[ "$SERVE" == "1" ]]; then
-  echo "== serve: unit suites (parser, batcher, limiter, registry, routing) ==" >&2
+  echo "== serve: unit suites (parser, limiter, registry, routing) ==" >&2
   cargo test --offline -p synthattr-serve --lib
   echo "== serve: TCP e2e byte-identity suite ==" >&2
   cargo test --offline --test serve_e2e

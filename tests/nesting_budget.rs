@@ -2,12 +2,15 @@
 //! stack.
 //!
 //! `lang::parser::MAX_NESTING` bounds how deep the recursive-descent
-//! productions may nest; past it `parse` returns "nesting too deep"
-//! instead of overflowing the stack (which aborts the process without
-//! unwinding). This suite checks the other half of the contract: input
+//! productions may nest, counting every node of a left-deep operator
+//! or postfix chain (`1 + 1 + …`, `v[0][0]…`) as a level; past it
+//! `parse` returns "nesting too deep" instead of handing the walkers a
+//! tree that overflows the stack (which aborts the process without
+//! unwinding). This suite checks both halves of the contract: input
 //! nested *just under* the bound goes through the whole frontend —
 //! parse, lint, fingerprint, structural hash, featurize and render — on
-//! a 2 MiB thread, the std default the server's workers run on.
+//! a 2 MiB thread, the std default the server's workers run on, and
+//! chains far past it are refused on that thread.
 
 use synthattr::analysis::{fingerprint, Analyzer};
 use synthattr::features::{FeatureConfig, FeatureExtractor};
@@ -79,10 +82,34 @@ fn shapes(k: usize) -> Vec<(&'static str, String)> {
                 "while (x < 1) ".repeat(k)
             ),
         ),
+        (
+            "+ chain",
+            format!("int main() {{ int x = 1{}; return x; }}", " + 1".repeat(k)),
+        ),
+        (
+            "<< chain",
+            format!("int main() {{ cout << 1{}; return 0; }}", " << 1".repeat(k)),
+        ),
+        (
+            "index chain",
+            format!("int main() {{ int v[1]; return v{}; }}", "[0]".repeat(k)),
+        ),
+        (
+            "call chain",
+            format!("int main() {{ return f{}; }}", "(1)".repeat(k)),
+        ),
+        (
+            "parenthesized chains",
+            format!(
+                "int main() {{ int x = {}1{}; return x; }}",
+                "(1 + ".repeat(k),
+                " + 1)".repeat(k)
+            ),
+        ),
     ]
 }
 
-fn is_too_deep(r: &Result<synthattr::lang::TranslationUnit, ParseError>) -> bool {
+fn is_too_deep<T>(r: &Result<T, ParseError>) -> bool {
     matches!(r, Err(e) if e.message() == "nesting too deep")
 }
 
@@ -118,4 +145,33 @@ fn nesting_just_under_the_budget_runs_the_whole_frontend_on_a_worker_stack() {
         });
         assert!(products.3 > 0 && products.4 > 0, "{name}");
     }
+}
+
+/// Every shape 20 000 levels deep is refused on a worker stack. The
+/// chains among them (`1 + 1 + …`, `cout << 1 << …`, `v[0][0]…`) are
+/// 80–100 KB, far under the server's 1 MiB body limit, and used to
+/// parse into left-deep trees that overflowed the stack downstream.
+#[test]
+fn every_shape_twenty_thousand_deep_is_refused_on_a_worker_stack() {
+    for (name, src) in shapes(20_000) {
+        let parsed = on_worker_stack(move || parse(&src).map(|unit| unit_hash(&unit)));
+        assert!(is_too_deep(&parsed), "{name}: {parsed:?}");
+    }
+}
+
+/// Chains nested inside chains. Each chain and the parentheses around
+/// it fit the budget on their own, but the tree is as tall as all the
+/// chains stacked: a bound charged per chain rather than at the tree's
+/// true height would admit thousands of levels.
+#[test]
+fn chains_nested_in_chains_are_charged_at_their_true_height() {
+    let (levels, terms) = (40, 120);
+    let mut expr = "1".to_string();
+    for _ in 0..levels {
+        expr = format!("({expr}{})", " + 1".repeat(terms - 1));
+    }
+    assert!(levels * 3 + terms < MAX_NESTING);
+    let src = format!("int main() {{ return {expr}; }}");
+    let parsed = on_worker_stack(move || parse(&src).map(|unit| unit_hash(&unit)));
+    assert!(is_too_deep(&parsed), "{parsed:?}");
 }

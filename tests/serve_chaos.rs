@@ -10,7 +10,7 @@
 //! open a legitimate `/attribute` client's p95 stays within 5× its
 //! unloaded p95 and no request times out.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -341,14 +341,22 @@ fn deeply_nested_source() -> String {
     src
 }
 
-/// The nesting budget over real TCP: the deep payload is a frontend
-/// rejection (422) on both frontend routes, and the server — whose
-/// workers run on the default 2 MiB stack — is still up afterwards.
-#[test]
-fn deeply_nested_source_is_rejected_and_the_server_stays_up() {
+/// 20 000 `+ 1` terms: 80 025 bytes, far under the body limit. The
+/// parser builds the chain in a loop, but the left-deep tree it yields
+/// is 20 000 levels tall and overflowed a 2 MiB worker stack in the
+/// recursive walkers downstream before chains were charged against the
+/// nesting budget.
+fn long_operator_chain_source() -> String {
+    let src = format!("int main() {{ return 1{}; }}\n", " + 1".repeat(20_000));
+    assert_eq!(src.len(), 80_025);
+    src
+}
+
+/// Posts `body` to both frontend routes and checks each answers 422
+/// "nesting too deep", then that the server is still up.
+fn assert_refused_as_too_deep(body: &str) {
     let server = spawn_with(ConnPolicy::default(), true);
     let addr = server.addr();
-    let body = deeply_nested_source();
     for target in [
         format!("/attribute?year={YEAR}"),
         format!("/transform?year={YEAR}&mode=ct&steps=2&seed=1"),
@@ -363,5 +371,112 @@ fn deeply_nested_source_is_rejected_and_the_server_stays_up() {
         );
     }
     assert!(healthz_text(addr).contains("\"status\":\"ok\""));
+    server.shutdown();
+}
+
+/// The nesting budget over real TCP: the deep payload is a frontend
+/// rejection (422) on both frontend routes, and the server — whose
+/// workers run on the default 2 MiB stack — is still up afterwards.
+#[test]
+fn deeply_nested_source_is_rejected_and_the_server_stays_up() {
+    assert_refused_as_too_deep(&deeply_nested_source());
+}
+
+/// The same for a long left-deep operator chain.
+#[test]
+fn long_operator_chain_is_rejected_and_the_server_stays_up() {
+    assert_refused_as_too_deep(&long_operator_chain_source());
+}
+
+/// User plus system CPU seconds this process has used, from
+/// `/proc/self/stat` (whose times are in 100 Hz clock ticks).
+fn process_cpu_s() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
+    // Fields after the parenthesized command name start at field 3;
+    // utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}
+
+/// A peer that pipelines requests and never reads its responses. The
+/// server stops reading once its answers back up, and cuts the
+/// connection at the write-stall deadline. While it waits, the worker
+/// must back off rather than poll the stuck connection in a loop: the
+/// peer's unread requests make the socket look readable all along, so a
+/// readiness wait would return at once and spin the worker. Process CPU
+/// time over the stall window stays under a quarter of its wall time,
+/// where a spinning worker alone would burn about all of it.
+#[test]
+fn write_blocked_peer_is_cut_without_spinning_a_worker() {
+    const NAME: &str = "write_blocked_peer_is_cut_without_spinning_a_worker";
+    // Process CPU time measures only this test when nothing else runs
+    // in the process. Unless the harness already runs one test at a
+    // time, run just this test again in a child process that does.
+    if !std::env::args().any(|a| a == "--test-threads=1") {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([NAME, "--exact", "--test-threads=1"])
+            .output()
+            .expect("run the child test");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
+    let policy = ConnPolicy {
+        write_stall_ms: 1_500,
+        // The peer must be cut for stalling, not recycled first.
+        max_requests: u32::MAX,
+        ..ConnPolicy::default()
+    };
+    let server = spawn_with(policy, false);
+    let addr = server.addr();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let request = b"GET /healthz HTTP/1.1\r\nHost: synthattr\r\n\r\n";
+    let sent = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Pipeline until the server cuts the connection.
+            while (&stream).write_all(request).is_ok() {
+                sent.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+
+        // The peer's writes stop moving once the server has stopped
+        // reading: its responses fill the socket buffers.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut last = 0;
+        let mut still_since = Instant::now();
+        while still_since.elapsed() < Duration::from_millis(200) {
+            assert!(Instant::now() < deadline, "the peer never blocked");
+            std::thread::sleep(Duration::from_millis(20));
+            let now = sent.load(Ordering::SeqCst);
+            if now != last {
+                last = now;
+                still_since = Instant::now();
+            }
+        }
+
+        let (cpu_before, wall_before) = (process_cpu_s(), Instant::now());
+        while close_counter(&healthz_text(addr), "write_stall") == 0 {
+            assert!(Instant::now() < deadline, "the blocked peer was never cut");
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        let cpu = process_cpu_s() - cpu_before;
+        let wall = wall_before.elapsed().as_secs_f64();
+        assert!(
+            cpu < wall / 4.0,
+            "{cpu:.2} s of CPU in a {wall:.2} s write stall"
+        );
+    });
     server.shutdown();
 }
