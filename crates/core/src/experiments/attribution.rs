@@ -19,6 +19,7 @@ use synthattr_ml::cv::group_folds;
 use synthattr_ml::dataset::Dataset;
 use synthattr_ml::forest::RandomForest;
 use synthattr_ml::metrics::accuracy;
+use synthattr_ml::rank::RankIndex;
 use synthattr_util::stats::ranked_histogram;
 use synthattr_util::{table, Pcg64, Table};
 
@@ -141,18 +142,15 @@ pub fn run_with_selection(
         groups.push(entry.challenge);
     }
 
-    // One fold per challenge.
+    // One fold per challenge. Without feature selection every fold
+    // trains on rows of one rank index, built by the first fold;
+    // selection picks each fold's own columns, so it trains on a
+    // projected copy instead.
+    let mut index = None;
     let mut fold_accuracy = Vec::new();
     let mut chatgpt_ok = Vec::new();
     let mut target_ok = Vec::new();
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
-        let mut train = ds.subset(&fold.train);
-        // Optional information-gain selection, fitted on the fold's
-        // training split only.
-        let columns = top_k.map(|k| synthattr_ml::select::select_top_k(&train, k));
-        if let Some(cols) = &columns {
-            train = train.project(cols);
-        }
         let mut rng = Pcg64::seed_from(
             p.config.seed,
             &[
@@ -166,7 +164,22 @@ pub fn run_with_selection(
                 &fi.to_string(),
             ],
         );
-        let forest = RandomForest::fit(&train, &p.config.forest(), &mut rng);
+        let (forest, columns) = match top_k {
+            None => {
+                let index = index.get_or_insert_with(|| RankIndex::build(&ds));
+                let forest =
+                    RandomForest::fit_rows(index, &fold.train, &p.config.forest(), &mut rng);
+                (forest, None)
+            }
+            // Information-gain selection, fitted on the fold's
+            // training split only.
+            Some(k) => {
+                let train = ds.subset(&fold.train);
+                let cols = synthattr_ml::select::select_top_k(&train, k);
+                let forest = RandomForest::fit(&train.project(&cols), &p.config.forest(), &mut rng);
+                (forest, Some(cols))
+            }
+        };
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         // Bulk prediction through the pool-parallel batch API (order-
         // preserving, so results match the per-row loop exactly).

@@ -11,6 +11,7 @@ use synthattr_ml::cv::group_folds;
 use synthattr_ml::dataset::Dataset;
 use synthattr_ml::forest::RandomForest;
 use synthattr_ml::metrics::accuracy;
+use synthattr_ml::rank::RankIndex;
 use synthattr_util::{table, Pcg64, Table};
 
 /// Binary result for one year.
@@ -105,14 +106,14 @@ fn binary_dataset(p: &YearPipeline, challenges: usize) -> (Dataset, Vec<usize>) 
 /// Runs the individual-year binary experiment.
 pub fn run_individual(p: &YearPipeline) -> BinaryResult {
     let (ds, groups) = binary_dataset(p, p.n_challenges());
+    let index = RankIndex::build(&ds);
     let mut per_challenge = Vec::new();
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
-        let train = ds.subset(&fold.train);
         let mut rng = Pcg64::seed_from(
             p.config.seed,
             &["binary", &p.year.to_string(), &fi.to_string()],
         );
-        let forest = RandomForest::fit(&train, &p.config.forest(), &mut rng);
+        let forest = RandomForest::fit_rows(&index, &fold.train, &p.config.forest(), &mut rng);
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         let rows: Vec<&[f64]> = fold.test.iter().map(|&i| ds.row(i)).collect();
         per_challenge.push(accuracy(&forest.predict_batch(&rows), &truth));
@@ -145,16 +146,17 @@ pub fn run_combined(pipelines: &[YearPipeline]) -> CombinedBinaryResult {
         }
     }
 
+    let index = RankIndex::build(&ds);
     let mut cells = vec![vec![0.0f64; pipelines.len()]; challenges];
     for (fi, fold) in group_folds(&groups).into_iter().enumerate() {
         let yi = fi / challenges;
         let ci = fi % challenges;
-        let train = ds.subset(&fold.train);
         let mut rng = Pcg64::seed_from(
             pipelines[0].config.seed,
             &["binary-combined", &fi.to_string()],
         );
-        let forest = RandomForest::fit(&train, &pipelines[0].config.forest(), &mut rng);
+        let forest =
+            RandomForest::fit_rows(&index, &fold.train, &pipelines[0].config.forest(), &mut rng);
         let truth: Vec<usize> = fold.test.iter().map(|&i| ds.label(i)).collect();
         let rows: Vec<&[f64]> = fold.test.iter().map(|&i| ds.row(i)).collect();
         cells[ci][yi] = accuracy(&forest.predict_batch(&rows), &truth);

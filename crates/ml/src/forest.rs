@@ -1,8 +1,13 @@
 //! Bagged random forests with parallel training, including
 //! shard-parallel training over out-of-core sources
 //! ([`RandomForest::fit_sharded`]).
+//!
+//! Every trainer encodes its matrix into a [`RankIndex`] once and
+//! shares it across trees; [`RandomForest::fit_rows`] also shares one
+//! index across the cross-validation folds drawn from one matrix.
 
 use crate::dataset::Dataset;
+use crate::rank::RankIndex;
 use crate::source::DatasetSource;
 use crate::tree::{argmax, DecisionTree, TreeConfig};
 use std::io;
@@ -18,12 +23,11 @@ pub struct ForestConfig {
     /// Bootstrap sample size as a fraction of the training set
     /// (denominator 100; 100 = classic bagging).
     pub bootstrap_pct: u8,
-    /// Train trees on worker threads.
-    pub parallel: bool,
-    /// Worker-count override for parallel training; `None` defers to
+    /// Worker-count override for training; `None` defers to
     /// `SYNTHATTR_WORKERS` / available parallelism (see
-    /// [`synthattr_util::pool::resolve_workers`]). Never affects
-    /// results, only wall-clock time.
+    /// [`synthattr_util::pool::resolve_workers`]), and `Some(1)` trains
+    /// serially on the calling thread. Never affects results, only
+    /// wall-clock time.
     pub workers: Option<usize>,
 }
 
@@ -33,7 +37,6 @@ impl Default for ForestConfig {
             n_trees: 100,
             tree: TreeConfig::default(),
             bootstrap_pct: 100,
-            parallel: true,
             workers: None,
         }
     }
@@ -62,61 +65,92 @@ pub struct RandomForest {
 impl RandomForest {
     /// Trains a forest.
     ///
+    /// Builds `data`'s [`RankIndex`] once and trains every tree on it.
     /// Each tree gets an independent RNG stream forked from `rng`, so
-    /// results are identical whether training runs parallel or serial.
+    /// results are identical at every worker count.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or `config.n_trees == 0`.
     pub fn fit(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
-        Self::fit_with(data, config, rng, DecisionTree::fit_on)
+        let rows: Vec<usize> = (0..data.len()).collect();
+        Self::fit_rows(&RankIndex::build(data), &rows, config, rng)
+    }
+
+    /// Trains a forest on the rows `rows` of `index`, in that order —
+    /// bit-identical to [`Self::fit`] on `data.subset(rows)` when
+    /// `index` was built from `data`. Cross-validation builds one
+    /// index per dataset and trains every fold through this, instead
+    /// of copying and re-indexing each fold's training rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty, a row is out of range, or
+    /// `config.n_trees == 0`.
+    pub fn fit_rows(
+        index: &RankIndex,
+        rows: &[usize],
+        config: &ForestConfig,
+        rng: &mut Pcg64,
+    ) -> Self {
+        Self::fit_with(
+            rows.len(),
+            index.n_classes(),
+            config,
+            rng,
+            |mut sample, tree_rng| {
+                for j in &mut sample {
+                    *j = rows[*j];
+                }
+                DecisionTree::fit_on(index, &sample, &config.tree, tree_rng)
+            },
+        )
     }
 
     /// Trains through the naive reference splitter
-    /// ([`crate::tree::reference`]) — identical seed derivation and
-    /// bootstrap sampling, so the result must be bit-identical to
-    /// [`Self::fit`]. Exists for the golden-equivalence tests and the
-    /// `forest` benchmark's `train_reference` baseline.
+    /// ([`crate::tree::reference`]) on the `Dataset` itself — identical
+    /// seed derivation and bootstrap sampling, so the result must be
+    /// bit-identical to [`Self::fit`]. Exists for the golden-equivalence
+    /// tests and the `forest` benchmark's `train_reference` baseline.
     #[cfg(any(test, feature = "reference-splitter"))]
     pub fn fit_reference(data: &Dataset, config: &ForestConfig, rng: &mut Pcg64) -> Self {
-        Self::fit_with(data, config, rng, crate::tree::reference::fit_on)
+        Self::fit_with(
+            data.len(),
+            data.n_classes(),
+            config,
+            rng,
+            |sample, tree_rng| {
+                crate::tree::reference::fit_on(data, &sample, &config.tree, tree_rng)
+            },
+        )
     }
 
     /// Shared trainer: forks one RNG stream per tree *before*
-    /// dispatch, so worker count never changes the forest, then fits
-    /// each bootstrap through `fit_on`.
-    fn fit_with(
-        data: &Dataset,
+    /// dispatch, so worker count never changes the forest, then draws
+    /// each tree's bootstrap over `0..n` and fits it through
+    /// `fit_tree`.
+    fn fit_with<F>(
+        n: usize,
+        n_classes: usize,
         config: &ForestConfig,
         rng: &mut Pcg64,
-        fit_on: fn(&Dataset, &[usize], &TreeConfig, &mut Pcg64) -> DecisionTree,
-    ) -> Self {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+        fit_tree: F,
+    ) -> Self
+    where
+        F: Fn(Vec<usize>, &mut Pcg64) -> DecisionTree + Sync,
+    {
+        assert!(n > 0, "cannot fit a forest on an empty dataset");
         assert!(config.n_trees > 0, "forest needs at least one tree");
-        let n = data.len();
         let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
-
-        // Pre-derive per-tree seeds so parallel and serial training
-        // produce identical forests.
-        let seeds: Vec<Pcg64> = (0..config.n_trees)
-            .map(|t| rng.fork(&["tree", &t.to_string()]))
-            .collect();
-
-        let train_one = |mut tree_rng: Pcg64| -> DecisionTree {
-            let indices: Vec<usize> = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-            fit_on(data, &indices, &config.tree, &mut tree_rng)
-        };
-
-        let trees: Vec<DecisionTree> = if config.parallel && config.n_trees > 1 {
-            pool::parallel_map_workers(pool::resolve_workers(config.workers), seeds, train_one)
-        } else {
-            seeds.into_iter().map(train_one).collect()
-        };
-
-        RandomForest {
-            trees,
-            n_classes: data.n_classes(),
-        }
+        let trees = pool::parallel_map_workers(
+            pool::resolve_workers(config.workers),
+            tree_seeds(config.n_trees, rng),
+            |mut tree_rng| {
+                let sample: Vec<usize> = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
+                fit_tree(sample, &mut tree_rng)
+            },
+        );
+        RandomForest { trees, n_classes }
     }
 
     /// Trains a forest shard-parallel over any [`DatasetSource`],
@@ -126,10 +160,11 @@ impl RandomForest {
     /// (sizes differing by at most one). Tree `t` trains on shard
     /// `t % n_shards`: its bootstrap draws from that shard's rows
     /// only, with the bootstrap size scaled to the shard. Shards load
-    /// and train concurrently on the worker pool; at most the loading
-    /// shards' rows are resident at once. The per-shard sub-forests
-    /// merge back in tree-index order, so the result is one ordinary
-    /// [`RandomForest`].
+    /// and train concurrently on the worker pool; a shard is read
+    /// straight into its [`RankIndex`] and never held row-major, so at
+    /// most the training shards' indexes are resident at once. The
+    /// per-shard sub-forests merge back in tree-index order, so the
+    /// result is one ordinary [`RandomForest`].
     ///
     /// # Determinism
     ///
@@ -138,10 +173,10 @@ impl RandomForest {
     /// dispatch, and shard assignment is pure arithmetic, so the
     /// trained forest depends only on `(source rows, n_shards,
     /// config, seed)`: never on the worker count. With `n_shards ==
-    /// 1` the shard is the whole source and every tree's bootstrap
-    /// sees the same row range as `fit` — the forest is
-    /// **bit-identical** to `fit` on the materialized dataset (the
-    /// `tests/scale_out.rs` A/B suite pins this at paper scale).
+    /// 1` the shard is the whole source and training runs through
+    /// the same trainer as `fit` — the forest is **bit-identical** to
+    /// `fit` on the materialized dataset (the `tests/scale_out.rs` A/B
+    /// suite pins this at paper scale).
     ///
     /// # Errors
     ///
@@ -163,34 +198,10 @@ impl RandomForest {
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let n = source.len();
         let n_shards = n_shards.clamp(1, n.min(config.n_trees));
-        let workers = pool::resolve_workers(config.workers);
-
-        // Per-tree seeds forked before dispatch — the same path
-        // strings as fit_with, so a 1-shard run replays fit exactly.
-        let seeds: Vec<Pcg64> = (0..config.n_trees)
-            .map(|t| rng.fork(&["tree", &t.to_string()]))
-            .collect();
-
         if n_shards == 1 {
-            // Degenerate sharding: load once, then train parallel over
-            // trees like fit_with (shard-level parallelism would leave
-            // every worker but one idle).
-            let data = source.load_rows(0, n)?;
-            let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
-            let train_one = |mut tree_rng: Pcg64| -> DecisionTree {
-                let indices: Vec<usize> =
-                    (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-                DecisionTree::fit_on(&data, &indices, &config.tree, &mut tree_rng)
-            };
-            let trees: Vec<DecisionTree> = if config.parallel && config.n_trees > 1 {
-                pool::parallel_map_workers(workers, seeds, train_one)
-            } else {
-                seeds.into_iter().map(train_one).collect()
-            };
-            return Ok(RandomForest {
-                trees,
-                n_classes: source.n_classes(),
-            });
+            let index = RankIndex::load(source, 0, n)?;
+            let rows: Vec<usize> = (0..n).collect();
+            return Ok(Self::fit_rows(&index, &rows, config, rng));
         }
 
         // Shard s covers a contiguous range; the first `rem` shards
@@ -204,14 +215,14 @@ impl RandomForest {
         };
         // Tree t → shard t % n_shards, with its pre-forked seed.
         let mut shard_trees: Vec<Vec<(usize, Pcg64)>> = vec![Vec::new(); n_shards];
-        for (t, seed) in seeds.into_iter().enumerate() {
+        for (t, seed) in tree_seeds(config.n_trees, rng).into_iter().enumerate() {
             shard_trees[t % n_shards].push((t, seed));
         }
 
         let train_shard =
             |(s, trees): (usize, Vec<(usize, Pcg64)>)| -> io::Result<Vec<(usize, DecisionTree)>> {
                 let (start, count) = range_of(s);
-                let data = source.load_rows(start, count)?;
+                let index = RankIndex::load(source, start, count)?;
                 let sample_size = ((count * config.bootstrap_pct as usize) / 100).max(1);
                 Ok(trees
                     .into_iter()
@@ -221,7 +232,7 @@ impl RandomForest {
                             .collect();
                         (
                             t,
-                            DecisionTree::fit_on(&data, &indices, &config.tree, &mut tree_rng),
+                            DecisionTree::fit_on(&index, &indices, &config.tree, &mut tree_rng),
                         )
                     })
                     .collect())
@@ -229,14 +240,11 @@ impl RandomForest {
 
         let shard_jobs: Vec<(usize, Vec<(usize, Pcg64)>)> =
             shard_trees.into_iter().enumerate().collect();
-        let per_shard: Vec<Vec<(usize, DecisionTree)>> = if config.parallel && n_shards > 1 {
-            pool::parallel_try_map_workers(workers, shard_jobs, train_shard)?
-        } else {
-            shard_jobs
-                .into_iter()
-                .map(train_shard)
-                .collect::<io::Result<_>>()?
-        };
+        let per_shard = pool::parallel_try_map_workers(
+            pool::resolve_workers(config.workers),
+            shard_jobs,
+            train_shard,
+        )?;
 
         // Merge in tree-index order so the ensemble is independent of
         // which shard trained which tree.
@@ -310,6 +318,13 @@ impl RandomForest {
     }
 }
 
+/// One RNG stream per tree, forked by tree index before any dispatch.
+fn tree_seeds(n_trees: usize, rng: &mut Pcg64) -> Vec<Pcg64> {
+    (0..n_trees)
+        .map(|t| rng.fork(&["tree", &t.to_string()]))
+        .collect()
+}
+
 /// Batches below this size are predicted on the calling thread: the
 /// pool's thread spawn costs more than a handful of tree walks.
 const PARALLEL_PREDICT_MIN: usize = 64;
@@ -357,11 +372,11 @@ mod tests {
         let train = blobs(20, 4);
         let cfg_par = ForestConfig {
             n_trees: 12,
-            parallel: true,
+            workers: Some(4),
             ..ForestConfig::default()
         };
         let cfg_ser = ForestConfig {
-            parallel: false,
+            workers: Some(1),
             ..cfg_par
         };
         let fp = RandomForest::fit(&train, &cfg_par, &mut Pcg64::new(11));
@@ -373,6 +388,56 @@ mod tests {
                 fs.predict_proba(test.row(i)),
                 "row {i}"
             );
+        }
+    }
+
+    #[test]
+    fn fit_rows_on_one_index_matches_fit_on_the_subset() {
+        // Cross-validation trains every fold on row subsets of one
+        // index; each fold's forest must be the one `fit` trains on a
+        // copied subset, bit for bit, at every worker count. Ties and
+        // repeated row ids stress the rank mapping; the full index has
+        // more distinct values than any fold, so the two trainers take
+        // different sort branches on the same node.
+        let mut rng = Pcg64::new(40);
+        let mut data = Dataset::new(3);
+        for i in 0..120 {
+            let label = rng.next_below(3);
+            data.push(
+                vec![
+                    rng.next_gaussian(label as f64, 1.0),
+                    rng.next_below(3) as f64,
+                    if i % 2 == 0 { -0.0 } else { 0.0 },
+                ],
+                label,
+            );
+        }
+        let index = RankIndex::build(&data);
+        let folds: [Vec<usize>; 3] = [
+            (0..120).filter(|i| i % 3 != 0).collect(),
+            (0..120).rev().step_by(2).collect(),
+            vec![5, 5, 9, 70, 3, 3, 3, 111, 64, 64, 20],
+        ];
+        for fold in &folds {
+            for workers in [1usize, 2, 8] {
+                let cfg = ForestConfig {
+                    n_trees: 12,
+                    workers: Some(workers),
+                    ..ForestConfig::default()
+                };
+                let shared = RandomForest::fit_rows(&index, fold, &cfg, &mut Pcg64::new(41));
+                let copied = RandomForest::fit(&data.subset(fold), &cfg, &mut Pcg64::new(41));
+                for i in 0..data.len() {
+                    let a = shared.predict_proba(data.row(i));
+                    let b = copied.predict_proba(data.row(i));
+                    assert_eq!(
+                        a.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                        b.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                        "fold of {} rows, workers {workers}, row {i}",
+                        fold.len()
+                    );
+                }
+            }
         }
     }
 
@@ -573,22 +638,6 @@ mod tests {
                     "row {i} with {workers} workers"
                 );
             }
-        }
-        // And serial dispatch agrees with the pool too.
-        let serial = {
-            let cfg = ForestConfig {
-                n_trees: 16,
-                parallel: false,
-                ..ForestConfig::default()
-            };
-            RandomForest::fit_sharded(&train, 3, &cfg, &mut Pcg64::new(7)).unwrap()
-        };
-        for i in 0..test.len() {
-            assert_eq!(
-                baseline.predict_proba(test.row(i)),
-                serial.predict_proba(test.row(i)),
-                "row {i} serial"
-            );
         }
     }
 

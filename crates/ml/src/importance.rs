@@ -9,6 +9,7 @@
 
 use crate::dataset::Dataset;
 use crate::forest::ForestConfig;
+use crate::rank::RankIndex;
 use crate::tree::{DecisionTree, TreeConfig};
 use synthattr_util::Pcg64;
 
@@ -40,12 +41,13 @@ impl AnalysisForest {
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let n = data.len();
         let sample_size = ((n * config.bootstrap_pct as usize) / 100).max(1);
+        let index = RankIndex::build(data);
         let mut trees = Vec::with_capacity(config.n_trees);
         let mut in_bag = Vec::with_capacity(config.n_trees);
         for t in 0..config.n_trees {
             let mut tree_rng = rng.fork(&["tree", &t.to_string()]);
             let indices: Vec<usize> = (0..sample_size).map(|_| tree_rng.next_below(n)).collect();
-            let tree = DecisionTree::fit_on(data, &indices, &config.tree, &mut tree_rng);
+            let tree = DecisionTree::fit_on(&index, &indices, &config.tree, &mut tree_rng);
             let mut bag = indices;
             bag.sort_unstable();
             bag.dedup();
@@ -135,7 +137,6 @@ pub fn top_permutation_features(data: &Dataset, k: usize, rng: &mut Pcg64) -> Ve
         n_trees: 30,
         tree: TreeConfig::default(),
         bootstrap_pct: 100,
-        parallel: false,
         workers: None,
     };
     let forest = AnalysisForest::fit(data, &config, &mut rng.fork(&["analysis"]));
@@ -174,7 +175,6 @@ mod tests {
     fn cfg() -> ForestConfig {
         ForestConfig {
             n_trees: 20,
-            parallel: false,
             ..ForestConfig::default()
         }
     }

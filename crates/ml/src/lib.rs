@@ -5,6 +5,8 @@
 //! stack with no external ML dependency:
 //!
 //! * [`dataset`] — a labelled feature matrix with named classes;
+//! * [`rank`] — the rank index a training matrix is encoded into once
+//!   for the split search, shared by every tree and fold;
 //! * [`tree`] — CART decision trees (Gini impurity, per-node feature
 //!   subsampling);
 //! * [`forest`] — bagged random forests with probability voting,
@@ -54,6 +56,7 @@ pub mod forest;
 pub mod importance;
 pub mod knn;
 pub mod metrics;
+pub mod rank;
 pub mod select;
 pub mod source;
 pub mod tree;
@@ -62,4 +65,5 @@ pub use colstore::{ColStoreError, ColumnStore, ColumnStoreWriter};
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
 pub use metrics::ConfusionMatrix;
+pub use rank::RankIndex;
 pub use source::DatasetSource;

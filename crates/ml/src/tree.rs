@@ -5,23 +5,38 @@
 //!
 //! The split search is the training hot path: every node scans `k`
 //! candidate features over `n` samples. The optimised path
-//! ([`SplitScratch`]) keeps all per-node working memory in buffers
-//! reused down the recursion and maintains **incremental class counts
-//! with a running sum of squared counts** for both sides of the
-//! candidate split, so the Gini gain of each position is an O(1)
-//! update instead of an O(C) re-count — and no count vector is ever
-//! allocated inside the scan.
+//! ([`SplitScratch`]) trains on a [`RankIndex`], which replaces each
+//! value by its dense rank in [`f64::total_cmp`] order. Per candidate
+//! feature it gathers the node's samples as packed
+//! `(rank << 32) | local label` words from one contiguous rank column
+//! and sorts them by rank:
 //!
-//! Because class counts are integers, the running sums of squares are
-//! *exactly* equal to the naive recomputation, so the optimised search
-//! selects bit-identical `(feature, threshold, gain)` triples to the
-//! reference implementation retained in [`reference`]. A golden
-//! equivalence test and a property test
-//! (`optimized_split_matches_reference`) pin this invariant.
+//! * by **counting sort** when the node holds at least as many samples
+//!   as the feature has distinct values (O(n + distinct), no compares);
+//! * by `sort_unstable` on the packed words otherwise (a narrow node
+//!   over a wide-valued feature, where the bucket array would dwarf
+//!   the node).
 //!
-//! All float sorts use [`f64::total_cmp`]: the comparator is total
-//! even in the presence of NaN, so a corrupt value can never scramble
-//! the sort order (NaN sorts after every finite value).
+//! The choice depends only on the node size and the feature's
+//! distinct count, and both orders are value order, so it never
+//! changes a result.
+//!
+//! The sweep keeps **incremental class counts with a running sum of
+//! squared counts** for both sides of the candidate split, so the Gini
+//! gain of each position is an O(1) update. Equal ranks are skipped
+//! without touching the value table; at a rank boundary the two
+//! values are still compared, because `-0.0` and `+0.0` have distinct
+//! ranks but equal values and the reference cannot split between
+//! them. Thresholds are `0.5 * (values[prev] + values[cur])`, and
+//! nodes partition on `value <= threshold` — never on `rank <= prev`,
+//! since the midpoint of two adjacent floats can round up to the
+//! upper one.
+//!
+//! Because class counts are integers and every float the search
+//! computes comes from the same operands, the optimised search selects
+//! bit-identical `(feature, threshold, gain)` triples to the naive
+//! `f64` sort retained in [`reference`]. A golden equivalence test and
+//! a property test (`optimized_split_matches_reference`) pin this.
 //!
 //! # Scaling to tens of thousands of classes
 //!
@@ -45,7 +60,33 @@
 //!   remap, so the equivalence tests pin the whole arrangement.
 
 use crate::dataset::Dataset;
+use crate::rank::RankIndex;
 use synthattr_util::Pcg64;
+
+/// What tree growth reads from a training matrix: the optimised
+/// splitter trains on a [`RankIndex`], the reference on the
+/// [`Dataset`] itself.
+pub(crate) trait TrainRows {
+    fn dim(&self) -> usize;
+    fn n_classes(&self) -> usize;
+    fn label(&self, row: usize) -> usize;
+    fn value(&self, row: usize, feature: usize) -> f64;
+}
+
+impl TrainRows for Dataset {
+    fn dim(&self) -> usize {
+        Dataset::dim(self)
+    }
+    fn n_classes(&self) -> usize {
+        Dataset::n_classes(self)
+    }
+    fn label(&self, row: usize) -> usize {
+        Dataset::label(self, row)
+    }
+    fn value(&self, row: usize, feature: usize) -> f64 {
+        self.row(row)[feature]
+    }
+}
 
 /// How many candidate features each split considers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +180,12 @@ impl ClassRemap {
     /// Starts a node: maps its distinct labels to `0..m` and fills
     /// `counts` with the local class histogram (`counts[s]` = samples
     /// of the class in slot `s`).
-    pub(crate) fn begin(&mut self, data: &Dataset, indices: &[usize], counts: &mut Vec<usize>) {
+    pub(crate) fn begin<M: TrainRows>(
+        &mut self,
+        data: &M,
+        indices: &[usize],
+        counts: &mut Vec<usize>,
+    ) {
         self.epoch += 1;
         self.classes.clear();
         counts.clear();
@@ -173,44 +219,40 @@ impl ClassRemap {
 /// per tree fit and threaded down the recursion so no inner loop
 /// allocates.
 ///
-/// `pairs` holds the sorted `(sort key, label)` projection of the
-/// node's samples onto one candidate feature — the key is the
-/// order-preserving integer image of the value (see [`total_cmp_key`]),
-/// so the sort runs on plain `u64` compares instead of re-deriving the
-/// `total_cmp` bit transform at every comparison. `left_counts` /
-/// `right_counts` are the incrementally-maintained class histograms of
-/// the two sides of the sweeping split position.
+/// `locals` holds each node sample's node-local label (computed once
+/// per node, shared by every candidate feature); `gathered` and
+/// `sorted` hold the packed `(rank << 32) | local label` words of one
+/// candidate feature before and after the sort, and `buckets` the
+/// counting sort's per-rank offsets. `left_counts` / `right_counts`
+/// are the incrementally-maintained class histograms of the two sides
+/// of the sweeping split position.
+#[derive(Default)]
 pub(crate) struct SplitScratch {
-    pairs: Vec<(u64, usize)>,
+    locals: Vec<u32>,
+    gathered: Vec<u64>,
+    sorted: Vec<u64>,
+    buckets: Vec<u32>,
     left_counts: Vec<usize>,
     right_counts: Vec<usize>,
 }
 
 impl SplitScratch {
-    pub(crate) fn new() -> Self {
-        SplitScratch {
-            pairs: Vec::new(),
-            left_counts: Vec::new(),
-            right_counts: Vec::new(),
-        }
-    }
-
-    /// The optimised split search: one sort per candidate feature,
-    /// then a single sweep maintaining class counts and sums of
-    /// squared counts for both sides, so each candidate position costs
-    /// O(1) instead of an O(C) allocation + re-count.
+    /// The optimised split search: one rank sort per candidate
+    /// feature, then a single sweep maintaining class counts and sums
+    /// of squared counts for both sides, so each candidate position
+    /// costs O(1) instead of an O(C) allocation + re-count.
     ///
     /// `counts` is the node-local histogram produced by
     /// [`ClassRemap::begin`]; labels are read through `remap`, so the
     /// side histograms are sized to the node's distinct classes.
     ///
     /// Returns the same `(feature, threshold, gain)` as
-    /// [`reference::best_split`], bit for bit: the running sums of
-    /// squares are integer arithmetic, so the floating-point Gini
-    /// expressions receive identical operands in both paths.
+    /// [`reference::best_split`] on the matrix `index` was built from,
+    /// bit for bit: the running sums of squares are integer
+    /// arithmetic, and thresholds are computed from the exact values.
     pub(crate) fn find_best(
         &mut self,
-        data: &Dataset,
+        index: &RankIndex,
         indices: &[usize],
         candidates: &[usize],
         counts: &[usize],
@@ -226,36 +268,34 @@ impl SplitScratch {
         // both ginis are ratios of finite integers).
         let mut best_gain = f64::NEG_INFINITY;
         let SplitScratch {
-            pairs,
+            locals,
+            gathered,
+            sorted,
+            buckets,
             left_counts,
             right_counts,
         } = self;
+        locals.clear();
+        locals.extend(indices.iter().map(|&i| remap.local(index.label(i)) as u32));
         left_counts.clear();
         left_counts.resize(counts.len(), 0);
         right_counts.clear();
         right_counts.resize(counts.len(), 0);
         for &feature in candidates {
-            pairs.clear();
-            pairs.extend(indices.iter().map(|&i| {
-                (
-                    total_cmp_key(data.row(i)[feature]),
-                    remap.local(data.label(i)),
-                )
-            }));
-            // Unstable sort on integer keys: no allocation, and no
-            // per-comparison float bit transform. Within a run of
-            // equal values the label order is irrelevant — splits are
-            // only scored at value boundaries, where the side
-            // histograms are permutation-invariant.
-            pairs.sort_unstable_by_key(|p| p.0);
+            let values = index.values(feature);
+            sort_by_rank(
+                index.ranks(feature),
+                values.len(),
+                indices,
+                locals,
+                gathered,
+                buckets,
+                sorted,
+            );
             // Length-pinned view so the sweep's indexing is
             // bounds-check-free.
-            let pairs = &pairs[..total];
-            // Constant-feature and tie checks must compare the
-            // *recovered floats*, not the keys: -0.0 and +0.0 have
-            // distinct keys but are equal values, and the reference
-            // compares values.
-            if key_to_f64(pairs[0].0) == key_to_f64(pairs[total - 1].0) {
+            let sorted = &sorted[..total];
+            if rank_of(sorted[0]) == rank_of(sorted[total - 1]) {
                 continue; // constant feature in this node
             }
             left_counts.fill(0);
@@ -265,15 +305,19 @@ impl SplitScratch {
             for split_at in 1..total {
                 // Move one sample from the right side to the left:
                 // (c+1)^2 - c^2 = 2c+1 and (c-1)^2 - c^2 = -(2c-1).
-                let (prev_key, class) = pairs[split_at - 1];
+                let prev = sorted[split_at - 1];
+                let class = prev as u32 as usize;
                 left_sq += 2 * left_counts[class] as u64 + 1;
                 left_counts[class] += 1;
                 right_sq -= 2 * right_counts[class] as u64 - 1;
                 right_counts[class] -= 1;
-                let prev_val = key_to_f64(prev_key);
-                let cur_val = key_to_f64(pairs[split_at].0);
-                if prev_val == cur_val {
+                let (prev_rank, cur_rank) = (rank_of(prev), rank_of(sorted[split_at]));
+                if prev_rank == cur_rank {
                     continue; // cannot split between equal values
+                }
+                let (prev_val, cur_val) = (values[prev_rank], values[cur_rank]);
+                if prev_val == cur_val {
+                    continue; // -0.0 | +0.0
                 }
                 let n_left = split_at;
                 let n_right = total - split_at;
@@ -295,6 +339,62 @@ impl SplitScratch {
     }
 }
 
+/// Fills `sorted` with the node's samples as packed
+/// `(rank << 32) | local label` words, ascending by rank (the order of
+/// labels within one rank is unspecified: splits are only scored at
+/// rank boundaries, where the side histograms are
+/// permutation-invariant).
+///
+/// Counting sort when the node has at least as many samples as the
+/// feature has distinct values, so the bucket pass costs no more than
+/// the gather; a comparison sort of the packed words otherwise.
+fn sort_by_rank(
+    ranks: &[u32],
+    distinct: usize,
+    indices: &[usize],
+    locals: &[u32],
+    gathered: &mut Vec<u64>,
+    buckets: &mut Vec<u32>,
+    sorted: &mut Vec<u64>,
+) {
+    gathered.clear();
+    gathered.extend(
+        indices
+            .iter()
+            .zip(locals)
+            .map(|(&i, &local)| (u64::from(ranks[i]) << 32) | u64::from(local)),
+    );
+    if indices.len() < distinct {
+        std::mem::swap(gathered, sorted);
+        sorted.sort_unstable();
+        return;
+    }
+    buckets.clear();
+    buckets.resize(distinct, 0);
+    for &word in gathered.iter() {
+        buckets[rank_of(word)] += 1;
+    }
+    let mut start = 0u32;
+    for bucket in buckets.iter_mut() {
+        let count = *bucket;
+        *bucket = start;
+        start += count;
+    }
+    sorted.clear();
+    sorted.resize(gathered.len(), 0);
+    for &word in gathered.iter() {
+        let slot = &mut buckets[rank_of(word)];
+        sorted[*slot as usize] = word;
+        *slot += 1;
+    }
+}
+
+/// The rank half of a packed `(rank << 32) | local label` word.
+#[inline]
+fn rank_of(word: u64) -> usize {
+    (word >> 32) as usize
+}
+
 /// A trained CART decision tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
@@ -303,37 +403,67 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fits a tree on `data`, optionally restricted to the sample
-    /// indices in `indices` (bootstrap support).
+    /// Fits a tree on the rows `indices` of `index` (bootstrap
+    /// samples may repeat a row).
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or `indices` is empty.
-    pub fn fit_on(data: &Dataset, indices: &[usize], config: &TreeConfig, rng: &mut Pcg64) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes: data.n_classes(),
-        };
-        let mut idx = indices.to_vec();
-        let mut scratch = SplitScratch::new();
-        let mut remap = ClassRemap::new(data.n_classes());
-        tree.build_with(
-            data,
-            &mut idx,
-            0,
+    /// Panics if `indices` is empty or holds more than `u32::MAX`
+    /// samples (the split search counts node samples in `u32`).
+    pub fn fit_on(
+        index: &RankIndex,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut Pcg64,
+    ) -> Self {
+        assert!(
+            u32::try_from(indices.len()).is_ok(),
+            "a tree node holds at most u32::MAX samples"
+        );
+        let mut scratch = SplitScratch::default();
+        Self::grow(
+            index,
+            indices,
             config,
             rng,
-            &mut remap,
             &mut |d, i, cand, counts, rm, pg| scratch.find_best(d, i, cand, counts, rm, pg),
-        );
-        tree
+        )
     }
 
     /// Fits on every sample of `data`.
     pub fn fit(data: &Dataset, config: &TreeConfig, rng: &mut Pcg64) -> Self {
         let all: Vec<usize> = (0..data.len()).collect();
-        Self::fit_on(data, &all, config, rng)
+        Self::fit_on(&RankIndex::build(data), &all, config, rng)
+    }
+
+    /// Grows a tree from the root over `indices` through `find_best`.
+    fn grow<M, F>(
+        data: &M,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut Pcg64,
+        find_best: &mut F,
+    ) -> Self
+    where
+        M: TrainRows,
+        F: FnMut(&M, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
+    {
+        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
+        let mut tree = DecisionTree {
+            nodes: Vec::new(),
+            n_classes: data.n_classes(),
+        };
+        let mut remap = ClassRemap::new(data.n_classes());
+        tree.build_with(
+            data,
+            &mut indices.to_vec(),
+            0,
+            config,
+            rng,
+            &mut remap,
+            find_best,
+        );
+        tree
     }
 
     /// Number of nodes in the tree.
@@ -366,9 +496,9 @@ impl DecisionTree {
     /// only differ through `find_best` — which the equivalence tests
     /// prove they don't.
     #[allow(clippy::too_many_arguments)]
-    fn build_with<F>(
+    fn build_with<M, F>(
         &mut self,
-        data: &Dataset,
+        data: &M,
         indices: &mut [usize],
         depth: usize,
         config: &TreeConfig,
@@ -377,7 +507,8 @@ impl DecisionTree {
         find_best: &mut F,
     ) -> usize
     where
-        F: FnMut(&Dataset, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
+        M: TrainRows,
+        F: FnMut(&M, &[usize], &[usize], &[usize], &ClassRemap, f64) -> BestSplit,
     {
         // Node-local class histogram: `counts[s]` counts the class in
         // remap slot `s`, so its length is the node's *distinct* class
@@ -401,8 +532,10 @@ impl DecisionTree {
             return self.leaf(&counts, remap.classes(), total);
         };
 
-        // Partition indices in place around the threshold.
-        let mid = partition(indices, |&i| data.row(i)[feature] <= threshold);
+        // Partition indices in place around the threshold — on values,
+        // as the reference does, never on ranks: the midpoint of two
+        // adjacent floats can round up to the upper one.
+        let mid = partition(indices, |&i| data.value(i, feature) <= threshold);
         if mid == 0 || mid == total {
             return self.leaf(&counts, remap.classes(), total);
         }
@@ -511,8 +644,9 @@ impl DecisionTree {
 pub mod reference {
     use super::*;
 
-    /// Fits a tree with the naive splitter; same API and RNG stream as
-    /// [`DecisionTree::fit_on`].
+    /// Fits a tree with the naive splitter on the `Dataset` itself;
+    /// same RNG stream as [`DecisionTree::fit_on`] on the dataset's
+    /// [`RankIndex`].
     ///
     /// # Panics
     ///
@@ -523,15 +657,7 @@ pub mod reference {
         config: &TreeConfig,
         rng: &mut Pcg64,
     ) -> DecisionTree {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes: data.n_classes(),
-        };
-        let mut idx = indices.to_vec();
-        let mut remap = ClassRemap::new(data.n_classes());
-        tree.build_with(data, &mut idx, 0, config, rng, &mut remap, &mut best_split);
-        tree
+        DecisionTree::grow(data, indices, config, rng, &mut best_split)
     }
 
     /// The naive per-node search: allocates and re-counts at every
@@ -600,27 +726,6 @@ pub(crate) fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Order-preserving integer image of an `f64`: sorting keys ascending
-/// orders the originals exactly as [`f64::total_cmp`] ascending would
-/// (NaN after every finite value). This is the same bit transform
-/// `total_cmp` applies per comparison — hoisted to once per element.
-#[inline]
-fn total_cmp_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    // Negatives: flip all bits (reverses their order). Non-negatives:
-    // flip only the sign bit (lifts them above all negatives).
-    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
-}
-
-/// Exact inverse of [`total_cmp_key`]: recovers the original bits, so
-/// thresholds computed from recovered values are bit-identical to ones
-/// computed from the values themselves.
-#[inline]
-fn key_to_f64(key: u64) -> f64 {
-    let mask = if key & (1 << 63) != 0 { 1 << 63 } else { !0u64 };
-    f64::from_bits(key ^ mask)
-}
-
 /// Sum of squared class counts — the integer core of the Gini
 /// impurity. Exact, so the incremental and naive paths agree bit for
 /// bit once converted to float.
@@ -654,6 +759,8 @@ fn partition<T, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::total_cmp_key;
+    use std::cell::Cell;
     use synthattr_util::prop::Runner;
     use synthattr_util::prop_assert_eq;
 
@@ -758,7 +865,7 @@ mod tests {
         ds.push(vec![-2.0], 0);
         ds.push(vec![3.0], 0); // excluded outlier
         let tree = DecisionTree::fit_on(
-            &ds,
+            &RankIndex::build(&ds),
             &[0, 1, 2, 3],
             &TreeConfig {
                 max_features: MaxFeatures::All,
@@ -781,7 +888,12 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn empty_fit_panics() {
         let ds = Dataset::new(2);
-        DecisionTree::fit_on(&ds, &[], &TreeConfig::default(), &mut Pcg64::new(1));
+        DecisionTree::fit_on(
+            &RankIndex::build(&ds),
+            &[],
+            &TreeConfig::default(),
+            &mut Pcg64::new(1),
+        );
     }
 
     /// A seeded dataset with heavy value ties (small discrete grid),
@@ -821,23 +933,55 @@ mod tests {
         }
     }
 
-    /// Satellite property test: on random seeded datasets — including
-    /// ties and constant features — the optimised split search picks
+    /// Property test: on random seeded datasets — ties, constant
+    /// features, `-0.0`/`+0.0`, wide-valued columns and bootstrap
+    /// nodes that repeat rows — the optimised split search picks
     /// exactly the same `(feature, threshold, gain)` as the reference.
+    /// Narrow columns send big nodes through the counting sort; wide
+    /// columns (more distinct values than the node has samples) send
+    /// them through the comparison sort. Both branches must run.
     #[test]
     fn optimized_split_matches_reference() {
-        Runner::new("split_equivalence").cases(192).run(
+        // Codes below 8 are a narrow grid with both zeros; the rest
+        // spread over ~250 distinct values.
+        const NARROW: [f64; 8] = [-0.0, 0.0, 0.5, 1.0, 1.5, -0.5, 0.0, -0.0];
+        let value = |code: u8| match NARROW.get(code as usize) {
+            Some(&v) => v,
+            None => code as f64 * 0.37 - 40.0,
+        };
+        let branches = [Cell::new(0usize), Cell::new(0usize)];
+        Runner::new("split_equivalence").cases(256).run(
             |rng| {
                 let n_classes = 2 + rng.next_below(3);
-                let n = 2 + rng.next_below(40);
+                let n = 2 + rng.next_below(60);
                 let dim = 1 + rng.next_below(5);
+                let wide: Vec<bool> = (0..dim).map(|_| rng.next_below(2) == 0).collect();
                 let rows: Vec<Vec<u8>> = (0..n)
-                    .map(|_| (0..dim).map(|_| rng.next_below(4) as u8).collect())
+                    .map(|_| {
+                        wide.iter()
+                            .map(|&w| {
+                                if w {
+                                    8 + rng.next_below(248) as u8
+                                } else {
+                                    rng.next_below(8) as u8
+                                }
+                            })
+                            .collect()
+                    })
                     .collect();
                 let labels: Vec<u8> = (0..n).map(|_| rng.next_below(n_classes) as u8).collect();
-                (n_classes as u8, rows, labels)
+                // A bootstrap node: rows drawn with replacement. Empty
+                // means every row once.
+                let picks: Vec<u8> = if rng.next_below(3) == 0 {
+                    Vec::new()
+                } else {
+                    (0..2 + rng.next_below(n))
+                        .map(|_| rng.next_below(n) as u8)
+                        .collect()
+                };
+                (n_classes as u8, rows, labels, picks)
             },
-            |(n_classes, rows, labels)| {
+            |(n_classes, rows, labels, picks)| {
                 let n_classes = (*n_classes).max(1) as usize;
                 let n = rows.len().min(labels.len());
                 if n < 2 {
@@ -849,26 +993,80 @@ mod tests {
                 }
                 let mut ds = Dataset::new(n_classes);
                 for i in 0..n {
-                    // Map the integer grid to halves so thresholds land
-                    // between representable values, including ties.
-                    let row: Vec<f64> = rows[i].iter().map(|&v| v as f64 / 2.0).collect();
+                    let row: Vec<f64> = rows[i].iter().map(|&v| value(v)).collect();
                     ds.push(row, labels[i] as usize % n_classes);
                 }
-                let indices: Vec<usize> = (0..n).collect();
+                let indices: Vec<usize> = if picks.len() < 2 {
+                    (0..n).collect()
+                } else {
+                    picks.iter().map(|&p| p as usize % n).collect()
+                };
+                let index = RankIndex::build(&ds);
+                for f in 0..dim {
+                    let counting = indices.len() >= index.values(f).len();
+                    let hits = &branches[usize::from(counting)];
+                    hits.set(hits.get() + 1);
+                }
                 let candidates: Vec<usize> = (0..dim).collect();
                 let mut remap = ClassRemap::new(n_classes);
                 let mut counts = Vec::new();
                 remap.begin(&ds, &indices, &mut counts);
-                let parent_gini = gini_from_sq(sum_sq(&counts), n);
-                let mut scratch = SplitScratch::new();
+                let parent_gini = gini_from_sq(sum_sq(&counts), indices.len());
+                let mut scratch = SplitScratch::default();
                 let fast =
-                    scratch.find_best(&ds, &indices, &candidates, &counts, &remap, parent_gini);
+                    scratch.find_best(&index, &indices, &candidates, &counts, &remap, parent_gini);
                 let naive =
                     reference::best_split(&ds, &indices, &candidates, &counts, &remap, parent_gini);
-                prop_assert_eq!(fast, naive, "split search diverged");
+                prop_assert_eq!(
+                    fast.map(|(f, t, g)| (f, t.to_bits(), g.to_bits())),
+                    naive.map(|(f, t, g)| (f, t.to_bits(), g.to_bits())),
+                    "split search diverged"
+                );
                 Ok(())
             },
         );
+        let [comparison, counting] = branches.map(Cell::into_inner);
+        assert!(
+            comparison > 50 && counting > 50,
+            "both sort branches must run: {comparison} comparison, {counting} counting"
+        );
+    }
+
+    /// The midpoint of two adjacent floats can round up to the upper
+    /// one: here `0.5 * (a + b) == b`. The reference then partitions
+    /// `b` to the left (`b <= threshold`), so the optimised trainer
+    /// must partition on values too, not on `rank <= rank(a)`.
+    #[test]
+    fn adjacent_float_midpoint_rounding_up_partitions_by_value() {
+        let a = f64::from_bits(1.0f64.to_bits() + 1);
+        let b = f64::from_bits(a.to_bits() + 1);
+        assert_eq!(0.5 * (a + b), b, "premise: the midpoint rounds up to b");
+        let mut ds = Dataset::new(2);
+        for _ in 0..3 {
+            ds.push(vec![a], 0);
+            ds.push(vec![b], 1);
+            ds.push(vec![2.0], 1);
+        }
+        let cfg = TreeConfig {
+            max_features: MaxFeatures::All,
+            ..TreeConfig::default()
+        };
+        let fast = DecisionTree::fit(&ds, &cfg, &mut Pcg64::new(1));
+        let all: Vec<usize> = (0..ds.len()).collect();
+        let naive = reference::fit_on(&ds, &all, &cfg, &mut Pcg64::new(1));
+        assert_eq!(fast.node_count(), naive.node_count());
+        for x in [a, b, 2.0, 0.0, 3.0] {
+            assert_eq!(
+                fast.predict_proba(&[x]),
+                naive.predict_proba(&[x]),
+                "x = {x}"
+            );
+        }
+        // `b` lands with `a`: the {a, b} child cannot separate them
+        // again (its only threshold is `b` once more), so it is a mixed
+        // leaf.
+        assert_eq!(fast.predict_proba(&[a]), fast.predict_proba(&[b]));
+        assert_eq!(fast.predict_proba(&[a]), vec![0.5, 0.5]);
     }
 
     /// Satellite regression test: a NaN feature value must not corrupt
@@ -915,14 +1113,25 @@ mod tests {
             f64::NAN,
             -f64::NAN,
         ];
+        let mut ds = Dataset::new(1);
         for &a in &specials {
-            // Bit-exact round trip (NaN payloads included).
-            assert_eq!(key_to_f64(total_cmp_key(a)).to_bits(), a.to_bits());
-            for &b in &specials {
+            ds.push_unchecked(vec![a], 0);
+        }
+        let index = RankIndex::build(&ds);
+        for (i, &a) in specials.iter().enumerate() {
+            // Bit-exact round trip through the value table (NaN
+            // payloads included).
+            assert_eq!(index.value(i, 0).to_bits(), a.to_bits());
+            for (j, &b) in specials.iter().enumerate() {
                 assert_eq!(
                     total_cmp_key(a).cmp(&total_cmp_key(b)),
                     a.total_cmp(&b),
                     "key order diverges from total_cmp for {a} vs {b}"
+                );
+                assert_eq!(
+                    index.ranks(0)[i].cmp(&index.ranks(0)[j]),
+                    a.total_cmp(&b),
+                    "rank order diverges from total_cmp for {a} vs {b}"
                 );
             }
         }

@@ -5,10 +5,12 @@
 # per benchmark into BENCH_forest.json (the harness prints JSON on
 # stdout, human progress on stderr — see DESIGN.md "Benchmarking").
 #
-# The forest target benches both the optimised trainer (`train/50`)
-# and the retained naive splitter (`train_reference/50`) in the same
-# run, so the summary printed at the end is an apples-to-apples
-# fast-path speedup on this machine.
+# The forest target benches the production trainer (`train/N`: one
+# rank-index build per fit, then the rank-sorted split search of
+# DESIGN.md §7) and the retained naive splitter over the `Dataset`
+# (`train_reference/50`) in the same run. The two train bit-identical
+# forests, so the summary printed at the end is an apples-to-apples
+# speedup of the production path on this machine.
 #
 # The `faults` target sweeps the node-cached resilient drivers the
 # pipeline runs (`run_{nct,ct}_resilient_cached`) at 0/5/20% fault

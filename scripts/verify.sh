@@ -42,6 +42,12 @@
 #                                     #   invariance), the 2000-author
 #                                     #   out-of-core smoke, and the
 #                                     #   20k profile-collision audit
+#   scripts/verify.sh --repro         # tier-1 + `repro all` (every
+#                                     #   paper table and figure at
+#                                     #   paper scale, about a minute
+#                                     #   on 2 CPUs) byte-compared with
+#                                     #   the checked-in
+#                                     #   repro_output.txt
 #   scripts/verify.sh --strict        # tier-1 + clippy with
 #                                     #   -D warnings across all
 #                                     #   targets + cargo fmt --check
@@ -94,6 +100,12 @@
 # seeded 20 000-profile collision audit in synthattr-gen. The
 # non-ignored suites also run under plain tier-1.
 #
+# --repro is the reproduction's fixed point as one command: any change
+# to a table cell, figure or result line shows up as a `cmp` mismatch
+# against repro_output.txt (the EXPERIMENTS.md cells come from the
+# same run). It is not part of plain tier-1 because it trains every
+# paper-scale forest.
+#
 # --strict is the workshop hygiene gate: clippy over every workspace
 # target with warnings denied, then rustfmt in check mode. Both must
 # stay clean — new code rides this stage in CI.
@@ -127,6 +139,7 @@ SERVE=0
 SERVE_HARDENING=0
 DATAFLOW=0
 SCALE=0
+REPRO=0
 STRICT=0
 for arg in "$@"; do
   case "$arg" in
@@ -138,6 +151,7 @@ for arg in "$@"; do
     --serve-hardening) SERVE_HARDENING=1 ;;
     --dataflow) DATAFLOW=1 ;;
     --scale) SCALE=1 ;;
+    --repro) REPRO=1 ;;
     --strict) STRICT=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
@@ -212,6 +226,14 @@ if [[ "$SCALE" == "1" ]]; then
   cargo test --offline -p synthattr-ml --lib cv
   echo "== scale: 20k profile-collision audit (gen) ==" >&2
   cargo test --offline -p synthattr-gen --lib twenty_thousand_profiles_rarely_collide
+fi
+
+if [[ "$REPRO" == "1" ]]; then
+  echo "== repro: repro all vs repro_output.txt ==" >&2
+  repro_out="$(mktemp)"
+  trap 'rm -f "$repro_out"' EXIT
+  cargo run --release --offline -p synthattr-bench --bin repro -- all > "$repro_out"
+  cmp "$repro_out" repro_output.txt
 fi
 
 if [[ "$STRICT" == "1" ]]; then
