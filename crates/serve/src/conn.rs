@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::http::ScanStatus;
+use crate::http::Progress;
 
 /// Per-connection budgets and the rotation tuning knobs.
 #[derive(Debug, Clone)]
@@ -219,22 +219,22 @@ impl ConnGauge {
         self.phase_start_ms = now_ms;
     }
 
-    /// Folds a buffer scan into the phase machine: first bytes of a
-    /// request move Idle → Head, a complete head moves Head → Body.
-    /// A pending write pins the phase (the write deadline governs
-    /// until the socket drains).
-    pub fn observe_scan(&mut self, status: ScanStatus, now_ms: u64) {
+    /// Folds the parser's progress on the buffered bytes into the phase
+    /// machine: first bytes of a request move Idle → Head, a complete
+    /// head moves Head → Body. A pending write pins the phase (the
+    /// write deadline governs until the socket drains).
+    pub fn observe_scan(&mut self, progress: Progress, now_ms: u64) {
         if self.phase == Phase::Write {
             return;
         }
-        match status {
-            ScanStatus::Empty => self.enter(Phase::Idle, now_ms),
-            ScanStatus::PartialHead | ScanStatus::Complete { .. } => {
+        match progress {
+            Progress::Idle => self.enter(Phase::Idle, now_ms),
+            Progress::Head { .. } => {
                 if self.phase == Phase::Idle {
                     self.enter(Phase::Head, now_ms);
                 }
             }
-            ScanStatus::NeedBody { .. } => {
+            Progress::Body => {
                 if self.phase == Phase::Idle {
                     self.enter(Phase::Head, now_ms);
                 }
@@ -376,6 +376,8 @@ impl ConnCounters {
 mod tests {
     use super::*;
 
+    const HEAD: Progress = Progress::Head { mid_line: true };
+
     fn policy() -> ConnPolicy {
         ConnPolicy {
             idle_budget_ms: 100,
@@ -393,7 +395,7 @@ mod tests {
         let p = policy();
         let mut g = ConnGauge::new(0);
         // First bytes arrive at t=5: Idle → Head.
-        g.observe_scan(ScanStatus::PartialHead, 5);
+        g.observe_scan(HEAD, 5);
         assert_eq!(g.phase(), Phase::Head);
         assert_eq!(g.stalled(&p, 10), Verdict::Park, "5ms into the head");
         assert_eq!(g.stalled(&p, 24), Verdict::Park, "19ms in: still inside");
@@ -408,15 +410,15 @@ mod tests {
     fn a_dripper_survives_as_long_as_each_phase_progresses() {
         let p = policy();
         let mut g = ConnGauge::new(0);
-        g.observe_scan(ScanStatus::PartialHead, 2);
-        // Drip, drip — still PartialHead, but the head deadline is
+        g.observe_scan(HEAD, 2);
+        // Drip, drip — still Head, but the head deadline is
         // anchored at first byte, not per byte: no re-arming.
         for t in [6, 10, 14, 18] {
-            g.observe_scan(ScanStatus::PartialHead, t);
+            g.observe_scan(HEAD, t);
             assert_eq!(g.stalled(&p, t), Verdict::Park);
         }
         // Head completes inside the deadline; body phase re-arms.
-        g.observe_scan(ScanStatus::NeedBody { total_len: 50 }, 20);
+        g.observe_scan(Progress::Body, 20);
         assert_eq!(g.phase(), Phase::Body);
         assert_eq!(g.stalled(&p, 49), Verdict::Park, "29ms of body");
         assert_eq!(
@@ -431,7 +433,7 @@ mod tests {
         let p = policy();
         let mut g = ConnGauge::new(0);
         // 60ms idle, then a served request, then idle again.
-        g.observe_scan(ScanStatus::PartialHead, 60);
+        g.observe_scan(HEAD, 60);
         assert!(!g.request_served(&p, 61));
         assert_eq!(g.phase(), Phase::Idle);
         assert_eq!(g.idle_spent_ms(61), 60);
@@ -474,7 +476,7 @@ mod tests {
     fn write_phase_pins_the_gauge_against_scan_transitions() {
         let mut g = ConnGauge::new(0);
         g.write_blocked(5);
-        g.observe_scan(ScanStatus::PartialHead, 6);
+        g.observe_scan(HEAD, 6);
         assert_eq!(
             g.phase(),
             Phase::Write,
@@ -486,8 +488,8 @@ mod tests {
     fn served_requests_reset_the_phase_but_not_idle_history() {
         let p = policy();
         let mut g = ConnGauge::new(0);
-        g.observe_scan(ScanStatus::PartialHead, 40);
-        g.observe_scan(ScanStatus::NeedBody { total_len: 9 }, 45);
+        g.observe_scan(HEAD, 40);
+        g.observe_scan(Progress::Body, 45);
         assert!(!g.request_served(&p, 50));
         // 40ms idle accrued before the request; the served request
         // contributes nothing to idle.

@@ -1,12 +1,18 @@
 //! A minimal, defensive HTTP/1.1 wire layer.
 //!
-//! Hand-rolled on `std::io` because the workspace is hermetic (zero
-//! registry dependencies): no hyper, no epoll crate — one blocking
-//! reader per connection, served by the worker pool. The parser is
-//! generic over [`BufRead`] so the property suite can drive it with
-//! in-memory cursors at fuzzing speed, and every input dimension is
-//! hard-limited (request line, header count, header size, body size)
-//! so a hostile peer can cost at most a bounded read before a 4xx.
+//! Hand-rolled on `std` because the workspace is hermetic (zero
+//! registry dependencies): no hyper, no epoll crate. The server's
+//! rotation loop reads whatever a non-blocking socket has to offer
+//! into a per-connection buffer, so a buffer usually holds a *prefix*
+//! of a request. [`parse_request`] is the one parser, over such a
+//! slice: it returns a whole request and the bytes it spans, says how
+//! far an unfinished one has got ([`Progress`]), or names the defect.
+//! [`read_request`] feeds it from any [`BufRead`], so the property
+//! suite and the benchmark replay drive the same code with in-memory
+//! cursors. Every input dimension is hard-limited (request line,
+//! header count, header size, body size) and each line is judged as
+//! soon as it is complete, so a hostile peer can cost at most a
+//! bounded read before a 4xx.
 //!
 //! Supported surface: `GET`/`POST`/`HEAD`, `Content-Length` bodies,
 //! keep-alive and pipelining. Chunked transfer encoding is refused
@@ -78,9 +84,6 @@ impl Request {
 /// maps to one response status; none of them panic.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Peer closed the connection before sending anything: a clean end
-    /// of a keep-alive session, not an error to report.
-    Closed,
     /// Malformed request (syntax, bad framing, truncated mid-request).
     BadRequest(&'static str),
     /// Request line exceeded [`Limits::max_request_line`] → 414.
@@ -90,7 +93,8 @@ pub enum HttpError {
     HeadersTooLarge,
     /// Body exceeded [`Limits::max_body`] → 413.
     BodyTooLarge,
-    /// The socket read timed out mid-request (slow-loris) → 408.
+    /// A started request stalled past its progress deadline
+    /// (slow-loris) → 408.
     Timeout,
     /// Chunked or otherwise unsupported framing → 501.
     Unsupported(&'static str),
@@ -99,11 +103,11 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The response status for this error (0 for [`HttpError::Closed`]
-    /// and [`HttpError::Io`], where no response can or should be sent).
+    /// The response status for this error (0 for [`HttpError::Io`],
+    /// where no response can or should be sent).
     pub fn status(&self) -> u16 {
         match self {
-            HttpError::Closed | HttpError::Io(_) => 0,
+            HttpError::Io(_) => 0,
             HttpError::BadRequest(_) => 400,
             HttpError::UriTooLong => 414,
             HttpError::HeadersTooLarge => 431,
@@ -116,7 +120,6 @@ impl HttpError {
     /// Short operator-facing description.
     pub fn reason(&self) -> &'static str {
         match self {
-            HttpError::Closed => "connection closed",
             HttpError::BadRequest(why) => why,
             HttpError::UriTooLong => "request line too long",
             HttpError::HeadersTooLarge => "headers too large",
@@ -126,53 +129,6 @@ impl HttpError {
             HttpError::Io(_) => "io error",
         }
     }
-}
-
-/// Reads one line (terminated by `\n`, tolerating `\r\n`) of at most
-/// `max` bytes. `Ok(None)` is clean EOF before any byte.
-fn read_line_limited(
-    reader: &mut impl BufRead,
-    max: usize,
-    over_limit: fn() -> HttpError,
-) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::BadRequest("truncated line"));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::BadRequest("non-utf8 line"))?;
-                    return Ok(Some(text));
-                }
-                line.push(byte[0]);
-                if line.len() > max {
-                    return Err(over_limit());
-                }
-            }
-            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-}
-
-/// Read timeouts surface as `WouldBlock` on Unix sockets and
-/// `TimedOut` elsewhere; both mean the peer stalled.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 /// Minimal percent-decoding for query values (`%xx` and `+`). Invalid
@@ -220,40 +176,183 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     }
 }
 
-/// Reads and parses one request.
+/// Most blank lines tolerated before a request line: RFC 9112 §2.2
+/// allows a little CRLF noise between pipelined requests, but endless
+/// blank lines are a stall, not a request.
+const MAX_BLANK_LINES: usize = 3;
+
+/// How far an unfinished request has got: what the connection's
+/// progress deadlines key on, and what an end of input here means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Progress {
+    /// Nothing, or only blank lines: the peer is between requests.
+    Idle,
+    /// A request line has started and the head is not complete yet.
+    Head {
+        /// The buffer ends inside a line.
+        mid_line: bool,
+    },
+    /// The head is complete and some of the declared body is missing.
+    Body,
+}
+
+impl Progress {
+    /// The error to answer if input ends here: `None` is a clean close
+    /// between requests, a started request is a truncation.
+    pub fn at_eof(self) -> Option<HttpError> {
+        let why = match self {
+            Progress::Idle => return None,
+            Progress::Head { mid_line: true } => "truncated line",
+            Progress::Head { mid_line: false } => "truncated headers",
+            Progress::Body => "truncated body",
+        };
+        Some(HttpError::BadRequest(why))
+    }
+}
+
+/// What [`parse_request`] found at the front of a buffer.
+#[derive(Debug)]
+pub enum Parse {
+    /// A whole request: the first `len` bytes (leading blank lines,
+    /// head and body) are its own, anything after is the next one's.
+    Complete {
+        /// The parsed request.
+        request: Request,
+        /// Bytes the request spans.
+        len: usize,
+    },
+    /// No whole request yet; more bytes may complete it.
+    Incomplete(Progress),
+}
+
+/// Parses the request at the front of `buf`, which may hold only part
+/// of it, or more than one request.
 ///
-/// `Ok(None)` means the peer closed cleanly between requests (normal
-/// keep-alive teardown). Any [`HttpError`] other than
-/// [`HttpError::Closed`]/[`HttpError::Io`] should be answered with
-/// [`Response::from_error`] before closing.
+/// The verdict on a prefix never changes as bytes are appended: a
+/// prefix is `Incomplete` until the first byte that completes the
+/// request or shows a defect, and from there on every longer buffer
+/// gets the same answer. Defects are reported in wire order, each as
+/// soon as the line holding it is complete (an over-long line as soon
+/// as it passes its limit); framing defects (`Transfer-Encoding`,
+/// `Content-Length`) as soon as the head is.
 ///
 /// # Errors
 ///
 /// See [`HttpError`]; every limit violation and framing defect maps to
-/// a 4xx/5xx status rather than a panic.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: &Limits,
-) -> Result<Option<Request>, HttpError> {
-    // Tolerate a little CRLF noise between pipelined requests
-    // (RFC 9112 §2.2), but only a little: endless blank lines are a
-    // stall, not a request.
-    let mut request_line = None;
-    for _ in 0..4 {
-        match read_line_limited(reader, limits.max_request_line, || HttpError::UriTooLong)? {
-            None => return Ok(None),
-            Some(line) if line.is_empty() => continue,
-            Some(line) => {
-                request_line = Some(line);
-                break;
+/// a 4xx/5xx status rather than a panic. The buffer's framing is lost
+/// after an error, so the caller answers it and closes.
+pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Parse, HttpError> {
+    let mut pos = 0;
+    let mut blank_lines = 0;
+    let request_line = loop {
+        match next_line(
+            buf,
+            &mut pos,
+            limits.max_request_line,
+            HttpError::UriTooLong,
+        )? {
+            None if pos == buf.len() => return Ok(Parse::Incomplete(Progress::Idle)),
+            None => return Ok(Parse::Incomplete(Progress::Head { mid_line: true })),
+            Some([]) if blank_lines == MAX_BLANK_LINES => {
+                return Err(HttpError::BadRequest("blank-line flood"))
             }
+            Some([]) => blank_lines += 1,
+            Some(line) => break utf8(line)?,
         }
-    }
-    let Some(request_line) = request_line else {
-        return Err(HttpError::BadRequest("blank-line flood"));
     };
+    let (method, target, http11) = split_request_line(request_line)?;
 
-    let mut parts = request_line.split(' ');
+    let mut headers: Vec<(&str, &str)> = Vec::new();
+    loop {
+        let Some(line) = next_line(
+            buf,
+            &mut pos,
+            limits.max_header_line,
+            HttpError::HeadersTooLarge,
+        )?
+        else {
+            let mid_line = pos < buf.len();
+            return Ok(Parse::Incomplete(Progress::Head { mid_line }));
+        };
+        let line = utf8(line)?;
+        if line.is_empty() {
+            break;
+        }
+        if headers.len() >= limits.max_headers {
+            return Err(HttpError::HeadersTooLarge);
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::BadRequest("header without colon"));
+        };
+        if name.is_empty() || name.contains(' ') {
+            return Err(HttpError::BadRequest("malformed header name"));
+        }
+        headers.push((name, value.trim()));
+    }
+
+    let body_len = body_length(&headers, limits)?;
+    let Some(body) = buf[pos..].get(..body_len) else {
+        return Ok(Parse::Incomplete(Progress::Body));
+    };
+    let connection = headers
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case("connection"))
+        .map(|(_, value)| value.to_ascii_lowercase());
+    let keep_alive = match connection {
+        Some(c) if c.contains("close") => false,
+        Some(c) if c.contains("keep-alive") => true,
+        _ => http11,
+    };
+    let (path, query) = split_target(target);
+    let request = Request {
+        method: method.to_string(),
+        path,
+        query,
+        headers: headers
+            .iter()
+            .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
+            .collect(),
+        body: body.to_vec(),
+        keep_alive,
+    };
+    Ok(Parse::Complete {
+        request,
+        len: pos + body_len,
+    })
+}
+
+/// The line starting at `*pos`, without its `\n` or `\r\n`, moving
+/// `*pos` past it; `Ok(None)` while the line is unfinished. A line of
+/// more than `max` bytes (a trailing `\r` counts) is `too_long` as soon
+/// as `max + 1` of its bytes are buffered, so the search never looks
+/// further than that.
+fn next_line<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    max: usize,
+    too_long: HttpError,
+) -> Result<Option<&'a [u8]>, HttpError> {
+    let rest = &buf[*pos..];
+    let window = &rest[..rest.len().min(max.saturating_add(1))];
+    match window.iter().position(|&b| b == b'\n') {
+        Some(end) => {
+            *pos += end + 1;
+            let line = &rest[..end];
+            Ok(Some(line.strip_suffix(b"\r").unwrap_or(line)))
+        }
+        None if rest.len() > max => Err(too_long),
+        None => Ok(None),
+    }
+}
+
+fn utf8(line: &[u8]) -> Result<&str, HttpError> {
+    std::str::from_utf8(line).map_err(|_| HttpError::BadRequest("non-utf8 line"))
+}
+
+/// Splits `METHOD SP target SP version` into the method, the
+/// origin-form target and whether the version is HTTP/1.1.
+fn split_request_line(line: &str) -> Result<(&str, &str, bool), HttpError> {
+    let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => return Err(HttpError::BadRequest("malformed request line")),
@@ -269,219 +368,95 @@ pub fn read_request(
         "HTTP/1.0" => false,
         _ => return Err(HttpError::BadRequest("unsupported http version")),
     };
+    Ok((method, target, http11))
+}
 
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let line = read_line_limited(reader, limits.max_header_line, || {
-            HttpError::HeadersTooLarge
-        })?
-        .ok_or(HttpError::BadRequest("truncated headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::BadRequest("header without colon"));
-        };
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::BadRequest("malformed header name"));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let find = |name: &str| {
-        headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    };
-    if find("transfer-encoding").is_some() {
+/// The body length a complete head declares. Transfer codings are
+/// refused. Every `Content-Length` must be `1*DIGIT` and all of them
+/// must agree (RFC 9112 §6.3): a peer that sends two lengths frames
+/// the stream one way for us and another way for any intermediary
+/// that picked the other.
+fn body_length(headers: &[(&str, &str)], limits: &Limits) -> Result<usize, HttpError> {
+    if headers
+        .iter()
+        .any(|(name, _)| name.eq_ignore_ascii_case("transfer-encoding"))
+    {
         return Err(HttpError::Unsupported("transfer-encoding not supported"));
     }
-    let content_length = match find("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest("malformed content-length"))?,
-    };
-    if content_length > limits.max_body {
+    let mut declared = None;
+    for (_, value) in headers
+        .iter()
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+    {
+        // `usize::from_str` also takes a leading `+`.
+        let len = match value.parse::<usize>() {
+            Ok(len) if value.bytes().all(|b| b.is_ascii_digit()) => len,
+            _ => return Err(HttpError::BadRequest("malformed content-length")),
+        };
+        if declared.is_some_and(|first| first != len) {
+            return Err(HttpError::BadRequest("conflicting content-length"));
+        }
+        declared = Some(len);
+    }
+    let len = declared.unwrap_or(0);
+    if len > limits.max_body {
         return Err(HttpError::BodyTooLarge);
     }
-
-    let mut body = vec![0u8; content_length];
-    let mut read_so_far = 0;
-    while read_so_far < content_length {
-        match reader.read(&mut body[read_so_far..]) {
-            Ok(0) => return Err(HttpError::BadRequest("truncated body")),
-            Ok(n) => read_so_far += n,
-            Err(e) if is_timeout(&e) => return Err(HttpError::Timeout),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-
-    let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
-        Some(c) if c.contains("close") => false,
-        Some(c) if c.contains("keep-alive") => true,
-        _ => http11,
-    };
-    let (path, query) = split_target(target);
-    Ok(Some(Request {
-        method: method.to_string(),
-        path,
-        query,
-        headers,
-        body,
-        keep_alive,
-    }))
+    Ok(len)
 }
 
-/// What an incremental scan of buffered connection bytes concluded.
+/// Reads and parses one request from `reader`, consuming exactly the
+/// bytes it spans, so pipelined requests read back to back.
 ///
-/// The rotation loop reads whatever a socket has to offer without
-/// blocking, so a connection's buffer is usually a *prefix* of a
-/// request. [`scan_request`] classifies that prefix cheaply — without
-/// allocating or parsing — so the transport knows whether to hand the
-/// bytes to [`read_request`] (the single authoritative parser), keep
-/// waiting, or reject the peer outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanStatus {
-    /// No bytes buffered: the connection is idle between requests.
-    Empty,
-    /// A request has started arriving but its head is incomplete.
-    PartialHead,
-    /// The head is complete; the request spans `total_len` bytes
-    /// (head + declared body) and the buffer does not hold them yet.
-    NeedBody {
-        /// Head plus declared body length, in bytes.
-        total_len: usize,
-    },
-    /// The first `total_len` buffered bytes form one complete unit:
-    /// either a parseable request or a head whose defects
-    /// [`read_request`] is guaranteed to reject without blocking
-    /// (blank-line flood, malformed or oversized framing, unsupported
-    /// transfer-encoding).
-    Complete {
-        /// Bytes to feed to [`read_request`] and then consume.
-        total_len: usize,
-    },
-}
-
-/// Incrementally classifies the buffered prefix of a request.
-///
-/// Mirrors [`read_request`]'s limit accounting exactly (line lengths
-/// include a trailing `\r`, the header-count check fires on the
-/// header *after* the last accepted one) so a scan error is always
-/// the same status the authoritative parse would produce — just
-/// earlier, before the hostile peer finishes its line.
+/// `Ok(None)` means input ended between requests (normal keep-alive
+/// teardown). Any other [`HttpError`] than [`HttpError::Io`] should be
+/// answered with [`Response::from_error`] before closing.
 ///
 /// # Errors
 ///
-/// [`HttpError::UriTooLong`] / [`HttpError::HeadersTooLarge`] when a
-/// partial or complete line already exceeds its limit — the caller
-/// should answer and close without waiting for more bytes.
-pub fn scan_request(buf: &[u8], limits: &Limits) -> Result<ScanStatus, HttpError> {
-    if buf.is_empty() {
-        return Ok(ScanStatus::Empty);
-    }
-    let mut pos = 0usize;
-    let mut blank_lines = 0usize;
-    let mut in_headers = false;
-    let mut header_count = 0usize;
-    let mut content_length: Option<Result<usize, ()>> = None;
-    let mut head_malformed = false;
+/// What [`parse_request`] reports, the truncation [`Progress::at_eof`]
+/// names when input ends mid-request, or [`HttpError::Io`] when the
+/// reader fails.
+pub fn read_request(
+    reader: &mut impl BufRead,
+    limits: &Limits,
+) -> Result<Option<Request>, HttpError> {
+    // This request's bytes from earlier fills. While it is empty the
+    // reader's own buffer is parsed in place.
+    let mut taken: Vec<u8> = Vec::new();
+    let mut progress = Progress::Idle;
     loop {
-        let line_end = buf[pos..].iter().position(|&b| b == b'\n');
-        let Some(rel) = line_end else {
-            // An unterminated line: over-limit is decidable now, more
-            // bytes are needed otherwise. Lengths match
-            // `read_line_limited`, which counts every pushed byte
-            // (including a pending '\r').
-            let partial = buf.len() - pos;
-            let (max, err): (usize, fn() -> HttpError) = if in_headers {
-                (limits.max_header_line, || HttpError::HeadersTooLarge)
-            } else {
-                (limits.max_request_line, || HttpError::UriTooLong)
-            };
-            if partial > max {
-                return Err(err());
-            }
-            return Ok(ScanStatus::PartialHead);
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(HttpError::Io(e)),
         };
-        // The line as `read_line_limited` counts it: '\n' excluded,
-        // '\r' included in the length check but not the content.
-        let raw = &buf[pos..pos + rel];
-        let line = if raw.last() == Some(&b'\r') {
-            &raw[..raw.len() - 1]
+        if chunk.is_empty() {
+            return progress.at_eof().map_or(Ok(None), Err);
+        }
+        let earlier = taken.len();
+        let parsed = if earlier == 0 {
+            parse_request(chunk, limits)?
         } else {
-            raw
+            taken.extend_from_slice(chunk);
+            parse_request(&taken, limits)?
         };
-        let after = pos + rel + 1;
-        if !in_headers {
-            if line.is_empty() {
-                blank_lines += 1;
-                // `read_request` tolerates three blank lines before
-                // the request line; the fourth makes the whole prefix
-                // a guaranteed 400 ("blank-line flood").
-                if blank_lines >= 4 {
-                    return Ok(ScanStatus::Complete { total_len: after });
+        match parsed {
+            Parse::Complete { request, len } => {
+                // `taken` alone was incomplete, so the request ends in
+                // this chunk.
+                reader.consume(len - earlier);
+                return Ok(Some(request));
+            }
+            Parse::Incomplete(now) => {
+                progress = now;
+                let n = chunk.len();
+                if earlier == 0 {
+                    taken.extend_from_slice(chunk);
                 }
-                pos = after;
-                continue;
-            }
-            if raw.len() > limits.max_request_line {
-                return Err(HttpError::UriTooLong);
-            }
-            in_headers = true;
-            pos = after;
-            continue;
-        }
-        if line.is_empty() {
-            // End of head. Anything the scan could not vouch for is
-            // handed to `read_request`, which will reject it from the
-            // buffered head alone — no body read can block on a
-            // malformed or refused request.
-            let body_len = match content_length {
-                None => 0,
-                Some(Ok(n)) => n,
-                Some(Err(())) => return Ok(ScanStatus::Complete { total_len: after }),
-            };
-            if head_malformed || body_len > limits.max_body {
-                return Ok(ScanStatus::Complete { total_len: after });
-            }
-            let total_len = after + body_len;
-            return Ok(if buf.len() >= total_len {
-                ScanStatus::Complete { total_len }
-            } else {
-                ScanStatus::NeedBody { total_len }
-            });
-        }
-        if raw.len() > limits.max_header_line {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        if header_count >= limits.max_headers {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        header_count += 1;
-        match line.iter().position(|&b| b == b':') {
-            None => head_malformed = true,
-            Some(colon) => {
-                let name = &line[..colon];
-                if name.eq_ignore_ascii_case(b"transfer-encoding") {
-                    // Refused with 501 by the parser; no body follows.
-                    head_malformed = true;
-                }
-                if name.eq_ignore_ascii_case(b"content-length") && content_length.is_none() {
-                    let value = std::str::from_utf8(&line[colon + 1..])
-                        .map(str::trim)
-                        .map_err(|_| ());
-                    content_length = Some(value.and_then(|v| v.parse::<usize>().map_err(|_| ())));
-                }
+                reader.consume(n);
             }
         }
-        pos = after;
     }
 }
 
@@ -567,17 +542,6 @@ impl Response {
         .expect("write! to a Vec cannot fail");
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes the response (status line, headers, body).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write errors; the caller drops the
-    /// connection on any of them.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        writer.write_all(&self.to_bytes())?;
-        writer.flush()
     }
 }
 
@@ -684,20 +648,29 @@ mod tests {
 
     #[test]
     fn pipelined_requests_parse_back_to_back() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
-        let mut cursor = Cursor::new(raw.as_bytes());
-        let a = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        let b = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(a.path, "/a");
-        assert_eq!(b.path, "/b");
-        assert_eq!(b.body, b"hi");
-        assert!(read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .is_none());
+        let raw = "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi\r\n";
+        // A cursor hands the parser everything at once; small buffers
+        // split requests across fills, which must consume exactly one
+        // request's bytes each time all the same.
+        for capacity in [raw.len(), 1, 3, 7] {
+            let mut reader = io::BufReader::with_capacity(capacity, raw.as_bytes());
+            let a = read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .unwrap();
+            let b = read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .unwrap();
+            assert_eq!(a.path, "/a", "capacity {capacity}");
+            assert_eq!(
+                (&*b.method, &*b.path),
+                ("POST", "/b"),
+                "capacity {capacity}"
+            );
+            assert_eq!(b.body, b"hi", "capacity {capacity}");
+            assert!(read_request(&mut reader, &Limits::default())
+                .unwrap()
+                .is_none());
+        }
     }
 
     #[test]
@@ -711,8 +684,28 @@ mod tests {
         assert_eq!(req.query_param("bad"), Some("%zz"));
     }
 
-    fn scan(buf: &[u8]) -> Result<ScanStatus, HttpError> {
-        scan_request(buf, &Limits::default())
+    fn scan(buf: &[u8]) -> Result<Parse, HttpError> {
+        parse_request(buf, &Limits::default())
+    }
+
+    fn progress(buf: &[u8]) -> Progress {
+        match scan(buf) {
+            Ok(Parse::Incomplete(progress)) => progress,
+            other => panic!(
+                "{:?}: expected Incomplete, got {other:?}",
+                String::from_utf8_lossy(buf)
+            ),
+        }
+    }
+
+    fn complete_len(buf: &[u8]) -> usize {
+        match scan(buf) {
+            Ok(Parse::Complete { len, .. }) => len,
+            other => panic!(
+                "{:?}: expected Complete, got {other:?}",
+                String::from_utf8_lossy(buf)
+            ),
+        }
     }
 
     #[test]
@@ -724,77 +717,55 @@ mod tests {
             .map(|p| p + 4)
             .unwrap();
         let total = full.len(); // head + the 5 declared body bytes
-        assert_eq!(scan(b"").unwrap(), ScanStatus::Empty);
+        assert_eq!(progress(b""), Progress::Idle);
         for cut in 1..head_end {
             // Everything before the blank line ends is a partial head.
+            let mid_line = full[cut - 1] != b'\n';
             assert_eq!(
-                scan(&full[..cut]).unwrap(),
-                ScanStatus::PartialHead,
+                progress(&full[..cut]),
+                Progress::Head { mid_line },
                 "cut={cut}"
             );
         }
-        assert_eq!(
-            scan(&full[..head_end]).unwrap(),
-            ScanStatus::NeedBody { total_len: total },
-            "head complete, body missing"
-        );
-        assert_eq!(
-            scan(&full[..total - 2]).unwrap(),
-            ScanStatus::NeedBody { total_len: total },
-            "body partially buffered"
-        );
-        assert_eq!(
-            scan(full).unwrap(),
-            ScanStatus::Complete { total_len: total },
-            "whole request buffered"
-        );
+        for cut in head_end..total {
+            assert_eq!(progress(&full[..cut]), Progress::Body, "cut={cut}");
+        }
+        assert_eq!(complete_len(full), total, "whole request buffered");
         // Extra pipelined bytes never change the first request's span.
         let mut two = full.to_vec();
         two.extend_from_slice(b"GET /y HTTP/1.1\r\n\r\n");
-        assert_eq!(
-            scan(&two).unwrap(),
-            ScanStatus::Complete { total_len: total }
-        );
+        assert_eq!(complete_len(&two), total);
     }
 
     #[test]
-    fn scan_agrees_with_read_request_on_every_complete_span() {
-        // For each raw exchange: scanning must find the same span the
-        // authoritative parser consumes, and parsing exactly that span
-        // must succeed (or fail) identically to streaming the bytes.
-        for raw in [
-            "GET /a HTTP/1.1\r\n\r\n".to_string(),
-            "\r\n\r\nGET /a HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
-            "POST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi".to_string(),
-            "GET /a HTTP/1.0\nConnection: keep-alive\n\n".to_string(),
-            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_string(),
-            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_string(),
-            "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".to_string(),
-            "GET /x HTTP/1.1\r\nno-colon\r\n\r\n".to_string(),
-            "\r\n\r\n\r\n\r\n".to_string(),
-        ] {
-            let buf = raw.as_bytes();
-            let ScanStatus::Complete { total_len } = scan(buf).unwrap() else {
-                panic!("{raw:?} should scan complete");
-            };
-            let mut streamed = Cursor::new(buf);
-            let streamed_result = read_request(&mut streamed, &Limits::default());
-            let sliced_result =
-                read_request(&mut Cursor::new(&buf[..total_len]), &Limits::default());
-            match (streamed_result, sliced_result) {
-                (Ok(Some(a)), Ok(Some(b))) => {
-                    assert_eq!(a.path, b.path, "{raw:?}");
-                    assert_eq!(a.body, b.body, "{raw:?}");
-                    assert_eq!(
-                        streamed.position() as usize,
-                        total_len,
-                        "{raw:?}: scan span must equal the parser's consumption"
-                    );
-                }
-                (Err(a), Err(b)) => assert_eq!(a.status(), b.status(), "{raw:?}"),
-                (a, b) => panic!("{raw:?}: streamed {a:?} vs sliced {b:?}"),
-            }
+    fn blank_lines_before_a_request_are_idle() {
+        for blanks in ["\r\n", "\r\n\n", "\r\n\r\n\r\n"] {
+            assert_eq!(progress(blanks.as_bytes()), Progress::Idle, "{blanks:?}");
+            assert!(
+                parse(blanks).unwrap().is_none(),
+                "EOF after {blanks:?} is a clean close"
+            );
+            let raw = format!("{blanks}GET /a HTTP/1.1\r\n\r\n");
+            assert_eq!(complete_len(raw.as_bytes()), raw.len(), "{raw:?}");
         }
+        // A started line after them is a started request.
+        assert_eq!(progress(b"\r\n\r"), Progress::Head { mid_line: true });
+        let err = scan(b"\r\n\r\n\r\n\r\n").unwrap_err();
+        assert_eq!(err.reason(), "blank-line flood");
+    }
+
+    #[test]
+    fn a_complete_invalid_request_line_is_rejected_before_the_head_ends() {
+        // A line is judged as soon as it is complete: no waiting for
+        // the blank line (or the header deadline) to name the defect,
+        // and no later over-long header can outrank it.
+        let fat = format!("get / HTTP/1.1\r\nX-Big: {}", "b".repeat(9000));
+        for raw in ["GARBAGE\r\nHost: x\r\n", "GARBAGE\r\n", fat.as_str()] {
+            let err = scan(raw.as_bytes()).expect_err(raw);
+            assert_eq!(err.status(), 400, "{raw:.40?} → {err:?}");
+        }
+        let err = scan(b"GET /x HTTP/1.1\r\nno-colon\r\n").unwrap_err();
+        assert_eq!(err.reason(), "header without colon");
     }
 
     #[test]
@@ -814,29 +785,48 @@ mod tests {
                 .collect::<String>()
         );
         assert_eq!(scan(many.as_bytes()).unwrap_err().status(), 431);
-        // Exactly at the limit is still fine.
+        // Exactly at the limit is still fine, and so is a complete line
+        // whose `\r` is the limit's last byte.
         let at_limit = format!("GET /{}", "a".repeat(8 * 1024 - 5));
-        assert_eq!(scan(at_limit.as_bytes()).unwrap(), ScanStatus::PartialHead);
+        assert_eq!(
+            progress(at_limit.as_bytes()),
+            Progress::Head { mid_line: true }
+        );
+        let line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(8 * 1024 - 15));
+        assert_eq!(line.len(), 8 * 1024 + 1);
+        assert_eq!(
+            progress(line.as_bytes()),
+            Progress::Head { mid_line: false }
+        );
+        let over = format!("GET /{} HTTP/1.1\r\n", "a".repeat(8 * 1024 - 14));
+        assert_eq!(scan(over.as_bytes()).unwrap_err().status(), 414);
     }
 
     #[test]
-    fn scan_takes_the_first_content_length_like_the_parser() {
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\nhi";
+    fn conflicting_content_lengths_are_a_bad_request() {
+        let raw = "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\nhi";
+        let err = parse(raw).unwrap_err();
         assert_eq!(
-            scan(raw).unwrap(),
-            ScanStatus::Complete {
-                total_len: raw.len()
-            }
+            (err.status(), err.reason()),
+            (400, "conflicting content-length")
         );
+        // Identical duplicates agree on one framing and are accepted.
+        let req = parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hi");
+        // Not `1*DIGIT`, even where `usize::from_str` would accept it.
+        for value in ["+2", "-0", " ", "2 2", "0x2", "2,2"] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhi");
+            let err = parse(&raw).expect_err(&raw);
+            assert_eq!(err.reason(), "malformed content-length", "{value:?}");
+        }
     }
 
     #[test]
     fn responses_serialize_with_exact_framing() {
-        let mut buf = Vec::new();
-        Response::json(200, "{\"ok\":true}".to_string())
-            .write_to(&mut buf)
-            .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let bytes = Response::json(200, "{\"ok\":true}".to_string()).to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));

@@ -11,11 +11,14 @@
 //!
 //! Architecture, bottom-up:
 //!
-//! * [`http`] — a defensive HTTP/1.1 parser and response writer over
-//!   any `BufRead`, with hard limits on every dimension an attacker
-//!   controls (request-line length, header count/size, body size) and
-//!   explicit timeout mapping, so slow-loris and byte-soup inputs
-//!   degrade to 4xx/close — never a panic or a hang.
+//! * [`http`] — one defensive HTTP/1.1 parser, over the bytes a
+//!   connection has buffered so far (`read_request` feeds it from any
+//!   `BufRead`), plus the response writer. Hard limits on every
+//!   dimension an attacker controls (request-line length, header
+//!   count/size, body size) and a verdict per line as soon as it is
+//!   complete make byte-soup inputs degrade to 4xx/close — never a
+//!   panic or a hang; the progress it reports drives the slow-loris
+//!   deadlines in [`conn`].
 //! * [`json`] — write-only JSON with shortest-round-trip float
 //!   formatting, the property that makes response bodies byte-stable.
 //! * [`registry`] — per-year models trained **once** through the exact

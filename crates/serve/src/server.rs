@@ -40,7 +40,7 @@
 //! responses are byte-identical across worker counts, client counts,
 //! rotation schedules, and restarts.
 
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +59,7 @@ use synthattr_util::{pool, pool::WorkQueue, Pcg64};
 
 use crate::conn::{CloseCause, ConnCounters, ConnGauge, ConnPolicy, Verdict};
 use crate::drain::{DrainState, DrainStats};
-use crate::http::{read_request, scan_request, HttpError, Limits, Request, Response, ScanStatus};
+use crate::http::{parse_request, HttpError, Limits, Parse, Progress, Request, Response};
 use crate::json;
 use crate::limit::{RateConfig, RateLimiter};
 use crate::registry::ModelRegistry;
@@ -823,14 +823,49 @@ impl DriveOutcome {
     }
 }
 
-/// Counts and queues the error response for a failed request read,
-/// with the same accounting the blocking loop used.
-fn enqueue_error(state: &ServerState, conn: &mut Conn, err: &HttpError) {
-    if err.status() != 0 {
-        state.stats.requests.fetch_add(1, Ordering::Relaxed);
-        state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-        conn.enqueue(&Response::from_error(err));
-    }
+/// Counts a request answered with an error and builds that response
+/// (which closes the connection).
+fn error_response(state: &ServerState, err: &HttpError) -> Response {
+    state.stats.requests.fetch_add(1, Ordering::Relaxed);
+    state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
+    Response::from_error(err)
+}
+
+/// What the bytes buffered on a connection came to.
+enum Answer {
+    /// A request was routed; `keep_alive` is what the client asked for.
+    Served {
+        response: Response,
+        keep_alive: bool,
+    },
+    /// A framing or limit defect, counted and answered; the connection
+    /// must close after this response.
+    Rejected(Response),
+    /// No whole request is buffered. After EOF this is always
+    /// [`Progress::Idle`]: the peer closed between requests.
+    Pending(Progress),
+}
+
+/// Parses the next request buffered on `conn` in place and answers it,
+/// dropping the bytes it spanned. After EOF a started request will
+/// never finish, so it is answered as the truncation it is.
+fn answer_next(state: &ServerState, conn: &mut Conn) -> Answer {
+    let err = match parse_request(&conn.buf, &state.config.limits) {
+        Ok(Parse::Complete { request, len }) => {
+            conn.buf.drain(..len);
+            return Answer::Served {
+                response: state.handle_request(&request),
+                keep_alive: request.keep_alive,
+            };
+        }
+        Ok(Parse::Incomplete(progress)) => match progress.at_eof() {
+            Some(err) if conn.eof => err,
+            _ => return Answer::Pending(progress),
+        },
+        Err(err) => err,
+    };
+    conn.buf.clear();
+    Answer::Rejected(error_response(state, &err))
 }
 
 /// Drives one connection for one slice: flush what we owe, serve every
@@ -842,7 +877,6 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
         return DriveOutcome::close(cause, true);
     }
     let policy = &state.config.conn;
-    let limits = &state.config.limits;
     let mut productive = false;
 
     // A previously blocked response write gets first claim on the
@@ -879,51 +913,35 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
         // Serve every complete request already buffered (pipelining),
         // up to the fairness cap.
         while conn.close_after_write.is_none() && served_in_slice < policy.max_requests_per_slice {
-            match scan_request(&conn.buf, limits) {
-                Err(err) => {
-                    // Over-limit mid-line: decidable without more
-                    // bytes. Answer and close; framing is gone.
-                    enqueue_error(state, conn, &err);
-                    conn.buf.clear();
-                    conn.close_after_write = Some(CloseCause::BadRequest);
-                    productive = true;
-                }
-                Ok(ScanStatus::Complete { total_len }) => {
-                    let request_bytes: Vec<u8> = conn.buf.drain(..total_len).collect();
-                    match read_request(&mut Cursor::new(&request_bytes[..]), limits) {
-                        Ok(Some(req)) => {
-                            let mut response = state.handle_request(&req);
-                            let exhausted = conn.gauge.request_served(policy, state.now_ms());
-                            if !req.keep_alive {
-                                response.close = true;
-                                conn.close_after_write
-                                    .get_or_insert(CloseCause::ClientClose);
-                            }
-                            if exhausted {
-                                response.close = true;
-                                conn.close_after_write
-                                    .get_or_insert(CloseCause::MaxRequests);
-                            }
-                            conn.enqueue(&response);
-                            served_in_slice += 1;
-                            productive = true;
-                        }
-                        Ok(None) => {
-                            conn.close_after_write = Some(CloseCause::PeerClosed);
-                        }
-                        Err(err) => {
-                            enqueue_error(state, conn, &err);
-                            conn.buf.clear();
-                            conn.close_after_write = Some(CloseCause::BadRequest);
-                            productive = true;
-                        }
+            match answer_next(state, conn) {
+                Answer::Served {
+                    mut response,
+                    keep_alive,
+                } => {
+                    let exhausted = conn.gauge.request_served(policy, state.now_ms());
+                    if !keep_alive {
+                        response.close = true;
+                        conn.close_after_write
+                            .get_or_insert(CloseCause::ClientClose);
                     }
+                    if exhausted {
+                        response.close = true;
+                        conn.close_after_write
+                            .get_or_insert(CloseCause::MaxRequests);
+                    }
+                    conn.enqueue(&response);
+                    served_in_slice += 1;
                 }
-                Ok(status) => {
-                    conn.gauge.observe_scan(status, state.now_ms());
+                Answer::Rejected(response) => {
+                    conn.enqueue(&response);
+                    conn.close_after_write = Some(CloseCause::BadRequest);
+                }
+                Answer::Pending(progress) => {
+                    conn.gauge.observe_scan(progress, state.now_ms());
                     break;
                 }
             }
+            productive = true;
         }
 
         // Push out what we owe, without blocking.
@@ -949,20 +967,9 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
             return DriveOutcome::park(productive);
         }
         if conn.eof {
-            if conn.buf.is_empty() {
-                return DriveOutcome::close(CloseCause::PeerClosed, productive);
-            }
-            // Bytes remain but no complete request ever will: let the
-            // authoritative parser name the truncation, answer it, and
-            // close through the flush path above.
-            let err = match read_request(&mut Cursor::new(&conn.buf[..]), limits) {
-                Err(err) => err,
-                Ok(_) => HttpError::BadRequest("truncated request"),
-            };
-            enqueue_error(state, conn, &err);
-            conn.buf.clear();
-            conn.close_after_write = Some(CloseCause::BadRequest);
-            continue;
+            // `answer_next` has answered any started request, so the
+            // peer closed between requests.
+            return DriveOutcome::close(CloseCause::PeerClosed, productive);
         }
 
         // Pull whatever the socket has.
@@ -983,7 +990,7 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
                     // A mid-request stall earns its 408 (best effort —
                     // the peer is hostile by definition here).
                     if matches!(cause, CloseCause::HeaderStall | CloseCause::BodyStall) {
-                        enqueue_error(state, conn, &HttpError::Timeout);
+                        conn.enqueue(&error_response(state, &HttpError::Timeout));
                         let _ = flush(conn);
                     }
                 }
@@ -1003,7 +1010,6 @@ fn drive(state: &ServerState, conn: &mut Conn) -> DriveOutcome {
 /// final response `Connection: close`, flush with the hard deadline
 /// as the bound, and report how the connection ended.
 fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
-    let limits = &state.config.limits;
     let mut responses: Vec<Response> = Vec::new();
     let mut hostile = false;
     let mut forced = false;
@@ -1012,48 +1018,22 @@ fn drain_serve(state: &ServerState, conn: &mut Conn) -> CloseCause {
             forced = true;
             break;
         }
-        match scan_request(&conn.buf, limits) {
-            Err(err) => {
-                if err.status() != 0 {
-                    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                    responses.push(Response::from_error(&err));
-                }
-                conn.buf.clear();
-                break;
-            }
-            Ok(ScanStatus::Complete { total_len }) => {
-                let request_bytes: Vec<u8> = conn.buf.drain(..total_len).collect();
-                match read_request(&mut Cursor::new(&request_bytes[..]), limits) {
-                    Ok(Some(req)) => responses.push(state.handle_request(&req)),
-                    Ok(None) => break,
-                    Err(err) => {
-                        if err.status() != 0 {
-                            state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                            state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                            responses.push(Response::from_error(&err));
-                        }
-                        conn.buf.clear();
-                        break;
-                    }
-                }
-            }
-            Ok(ScanStatus::Empty) => break,
-            Ok(ScanStatus::PartialHead) | Ok(ScanStatus::NeedBody { .. }) => {
-                if conn.eof {
-                    // The rest of this request is never coming.
-                    let err = match read_request(&mut Cursor::new(&conn.buf[..]), limits) {
-                        Err(err) => err,
-                        Ok(_) => HttpError::BadRequest("truncated request"),
-                    };
-                    if err.status() != 0 {
-                        state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                        state.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                        responses.push(Response::from_error(&err));
-                    }
-                    conn.buf.clear();
+        match answer_next(state, conn) {
+            Answer::Served {
+                response,
+                keep_alive,
+            } => {
+                responses.push(response);
+                if !keep_alive {
                     break;
                 }
+            }
+            Answer::Rejected(response) => {
+                responses.push(response);
+                break;
+            }
+            Answer::Pending(Progress::Idle) => break,
+            Answer::Pending(_) => {
                 // An in-flight request: poll briefly for bytes already
                 // on the wire. New requests are not waited for — only
                 // started ones are finished.

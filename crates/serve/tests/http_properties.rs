@@ -2,7 +2,9 @@
 //!
 //! 1. **Pure parser totality** — `read_request` over in-memory byte
 //!    soup, mutated valid requests, and adversarially-shaped inputs:
-//!    every outcome is `Ok` or a typed `HttpError`, never a panic.
+//!    every outcome is `Ok` or a typed `HttpError`, never a panic; and
+//!    `parse_request` over every prefix of a buffer reaches the whole
+//!    buffer's verdict without ever contradicting it.
 //! 2. **Live server survival** — the same input classes thrown at a
 //!    real listener over TCP: malformed traffic maps to 4xx or a clean
 //!    close (slow-loris times out within the configured bound), and
@@ -11,16 +13,23 @@
 //! A model-free registry config keeps these fast: malformed requests
 //! never reach a handler, so no forest is ever trained.
 
-use std::io::{Cursor, Read, Write};
+use std::io::{BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use synthattr_serve::http::{read_request, Limits};
+use synthattr_serve::http::{parse_request, read_request, HttpError, Limits, Parse};
 use synthattr_serve::server::{RunningServer, ServeConfig, Server};
 use synthattr_util::prop::{gen, Runner};
 use synthattr_util::{prop_assert, Pcg64};
 
 // ---------------------------------------------------------------- tier 1
+
+/// The valid request the truncation property cuts.
+const POSTED: &[u8] =
+    b"POST /attribute?year=2018 HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nint main(){";
+
+/// The valid request the mutation property flips bytes of.
+const MUTABLE: &[u8] = b"POST /attribute?year=2018&mode=x HTTP/1.1\r\nHost: srv\r\nX-Client-Id: abc\r\nContent-Length: 4\r\n\r\nwxyz";
 
 /// Parsing arbitrary bytes is total: some `Ok`, some typed error, no
 /// panic (the prop runner converts panics into failures).
@@ -85,16 +94,14 @@ fn parser_is_total_over_http_shaped_fragments() {
 /// typed error — never a panic or a bogus parse.
 #[test]
 fn truncation_at_every_boundary_is_handled() {
-    let valid =
-        b"POST /attribute?year=2018 HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nint main(){";
     Runner::new("http-truncation").cases(256).run(
-        |rng| rng.next_below(valid.len() + 1),
+        |rng| rng.next_below(POSTED.len() + 1),
         |&cut| {
-            let mut cursor = Cursor::new(&valid[..cut]);
+            let mut cursor = Cursor::new(&POSTED[..cut]);
             match read_request(&mut cursor, &Limits::default()) {
                 Ok(Some(req)) => {
                     prop_assert!(
-                        cut == valid.len() && req.body == b"int main(){",
+                        cut == POSTED.len() && req.body == b"int main(){",
                         "a parse can only succeed on the full request (cut={cut})"
                     );
                 }
@@ -110,10 +117,9 @@ fn truncation_at_every_boundary_is_handled() {
 /// every reported error carries a 4xx/5xx status or a close condition.
 #[test]
 fn single_byte_mutations_never_panic() {
-    let valid = b"POST /attribute?year=2018&mode=x HTTP/1.1\r\nHost: srv\r\nX-Client-Id: abc\r\nContent-Length: 4\r\n\r\nwxyz".to_vec();
     Runner::new("http-mutation").cases(512).run(
-        move |rng| {
-            let mut bytes = valid.clone();
+        |rng| {
+            let mut bytes = MUTABLE.to_vec();
             let at = rng.next_below(bytes.len());
             bytes[at] = rng.next_below(256) as u8;
             bytes
@@ -129,6 +135,113 @@ fn single_byte_mutations_never_panic() {
             }
             Ok(())
         },
+    );
+}
+
+/// A verdict as the prefix property compares it: `None` while
+/// incomplete, else the span and request, or the status and reason.
+fn verdict(parsed: Result<Parse, HttpError>) -> Option<String> {
+    match parsed {
+        Ok(Parse::Incomplete(_)) => None,
+        Ok(Parse::Complete { request, len }) => Some(format!("{len} {request:?}")),
+        Err(e) => Some(format!("{} {}", e.status(), e.reason())),
+    }
+}
+
+/// Every prefix of `buf` parses `Incomplete` until the first one that
+/// decides, and every deciding prefix gets the whole buffer's verdict:
+/// what the rotation loop concludes from the bytes a peer has sent so
+/// far never depends on how the sends were split. A request is decided
+/// exactly at its last byte. `read_request` through a 3-byte buffer
+/// (a request split across fills) agrees, and consumes exactly the
+/// request's span.
+fn check_every_prefix(buf: &[u8]) -> Result<(), String> {
+    let limits = Limits::default();
+    let whole = verdict(parse_request(buf, &limits));
+    let mut decided_at = None;
+    for cut in 0..=buf.len() {
+        match verdict(parse_request(&buf[..cut], &limits)) {
+            None => prop_assert!(
+                decided_at.is_none(),
+                "cut {cut}: incomplete again after deciding at {decided_at:?}"
+            ),
+            Some(v) => {
+                prop_assert!(
+                    Some(&v) == whole.as_ref(),
+                    "cut {cut}: {v} vs whole {whole:?}"
+                );
+                decided_at.get_or_insert(cut);
+            }
+        }
+    }
+    let mut reader = BufReader::with_capacity(3, buf);
+    let streamed = read_request(&mut reader, &limits);
+    match parse_request(buf, &limits) {
+        Ok(Parse::Complete { request, len }) => {
+            prop_assert!(
+                decided_at == Some(len),
+                "decided at {decided_at:?}, spans {len}"
+            );
+            let got = streamed
+                .map_err(|e| e.reason())
+                .map(|r| r.map(|r| format!("{r:?}")));
+            prop_assert!(got == Ok(Some(format!("{request:?}"))), "streamed {got:?}");
+            let rest = reader.buffer().len() + reader.get_ref().len();
+            prop_assert!(
+                rest == buf.len() - len,
+                "consumed {} of {len}",
+                buf.len() - rest
+            );
+        }
+        Ok(Parse::Incomplete(progress)) => {
+            let want = progress.at_eof().map(|e| (e.status(), e.reason()));
+            let got = streamed.err().map(|e| (e.status(), e.reason()));
+            prop_assert!(got == want, "at EOF: streamed {got:?}, want {want:?}");
+        }
+        Err(e) => {
+            let got = streamed.err().map(|e| (e.status(), e.reason()));
+            prop_assert!(
+                got == Some((e.status(), e.reason())),
+                "streamed {got:?} vs {e:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The prefix property over the valid request, single-byte mutations
+/// of it and truncations of it, plus fixed inputs for the blank-line,
+/// framing and refusal paths.
+#[test]
+fn every_prefix_reaches_the_whole_buffers_verdict() {
+    for raw in [
+        "GET /a HTTP/1.1\r\n\r\n",
+        "\r\n\r\nGET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+        "POST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi",
+        "GET /a HTTP/1.0\nConnection: keep-alive\n\n",
+        "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+        "GET /x HTTP/1.1\r\nno-colon\r\n\r\n",
+        "\r\n\r\n\r\n\r\n",
+        "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+    ] {
+        if let Err(e) = check_every_prefix(raw.as_bytes()) {
+            panic!("{raw:?}: {e}");
+        }
+    }
+    Runner::new("http-prefixes").cases(256).run(
+        |rng| match rng.next_below(3) {
+            0 => POSTED.to_vec(),
+            1 => {
+                let mut bytes = MUTABLE.to_vec();
+                let at = rng.next_below(bytes.len());
+                bytes[at] = rng.next_below(256) as u8;
+                bytes
+            }
+            _ => POSTED[..rng.next_below(POSTED.len() + 1)].to_vec(),
+        },
+        |bytes| check_every_prefix(bytes),
     );
 }
 
@@ -354,6 +467,49 @@ fn live_server_answers_pipelined_requests_in_order() {
         statuses,
         vec!["200", "404", "200"],
         "three pipelined requests, three ordered responses: {text:.200}"
+    );
+    server.shutdown();
+}
+
+/// A blank line after a request is noise between requests, not the
+/// start of the next one: a keep-alive client that ends its request
+/// with an extra CRLF and then pauses past the header deadline is still
+/// idle, and its next request gets a 200, not a 408.
+#[test]
+fn trailing_blank_line_leaves_a_keep_alive_client_idle() {
+    let server = hardened_server();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let request = b"GET /healthz HTTP/1.1\r\n\r\n\r\n";
+    let read_reply = |stream: &mut TcpStream| {
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 4096];
+        // `/healthz` bodies end in `}`; one response per read loop.
+        while !reply.ends_with(b"}") {
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => reply.extend_from_slice(&buf[..n]),
+            }
+        }
+        String::from_utf8_lossy(&reply).into_owned()
+    };
+    stream.write_all(request).expect("first request");
+    let first = read_reply(&mut stream);
+    assert!(first.starts_with("HTTP/1.1 200"), "got: {first:.80}");
+    // Well past the 150 ms header deadline.
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(request).expect("second request");
+    let second = read_reply(&mut stream);
+    assert!(second.starts_with("HTTP/1.1 200"), "got: {second:.80}");
+    assert_eq!(
+        server
+            .state()
+            .conns()
+            .closed(synthattr_serve::CloseCause::HeaderStall),
+        0,
+        "the trailing CRLF must not start a header deadline"
     );
     server.shutdown();
 }
